@@ -65,6 +65,7 @@ from .errors import (
     NotLari,
     NotMonotone,
     NotParallel,
+    PostconditionFailed,
     QuotientViolation,
     SizeCapExceeded,
     UnknownLabel,
@@ -99,7 +100,6 @@ from .poset import (
     classify_adjoint,
     enumerate_monotone,
     left_adjoint,
-    preorder_collapse,
     right_adjoint,
     two_cell_exists,
 )

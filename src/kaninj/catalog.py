@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .poset import MonotoneMap, Poset, build_poset
+from .poset import MonotoneMap, Poset, _square, build_poset
 
 
 def empty() -> Poset:
@@ -108,8 +108,7 @@ def all_posets(max_n: int) -> tuple:
             for t, (i, j) in enumerate(pair_list):
                 if (mask >> t) & 1:
                     rel[i, j] = True
-            m = rel.astype(np.uint8)
-            if (((m @ m) > 0) & ~rel).any():
+            if (_square(rel) & ~rel).any():
                 continue
             p = Poset([f"p{i}" for i in range(n)], rel, validate=False)
             key = p.canonical_form()

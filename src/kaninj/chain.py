@@ -12,8 +12,8 @@ changes nothing up to isomorphism; the stage it stabilized on is the
 reflection and the connecting map from X0 is the unit.
 
 Thinness degenerates the bookkeeping pleasantly: every pushout square
-commutes on the nose (asserted), parallel 2-cells are equal so the
-coequifier half of the even step contributes nothing (asserted), and
+commutes on the nose (checked), parallel 2-cells are equal so the
+coequifier half of the even step contributes nothing (checked), and
 all compositors of the chain are identities because connectors compose
 as functions.
 """
@@ -29,7 +29,9 @@ from .errors import (
     DomainMismatch,
     NotConverged,
     NotInjectiveTarget,
+    PostconditionFailed,
     QuotientViolation,
+    SquareDoesNotCommute,
 )
 from .hom import is_dense, left_kan
 from .injectivity import is_injective, strong_objects
@@ -191,7 +193,8 @@ def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> C
     for k, (hi, h, f) in enumerate(spans):
         coproj = wide.injections[k + 1].then(relab)
         strict = f.then(conn) == h.then(coproj)
-        assert strict, "pushout square must commute exactly"
+        if not strict:
+            raise SquareDoesNotCommute("pushout square must commute exactly")
         records.append(SpanRecord(i, hi, f, coproj, strict))
     return ChainState(
         state.stages + (nxt,),
@@ -296,8 +299,10 @@ def reflect(
         if state.connector(i, i + 2).is_order_iso():
             reflected = state.stages[i]
             unit = state.connector(0, i)
-            assert is_injective(reflected, klass, cap=cap).strong
-            assert is_dense(unit)
+            if not is_injective(reflected, klass, cap=cap).strong:
+                raise PostconditionFailed("reflected stage is not strongly injective")
+            if not is_dense(unit):
+                raise PostconditionFailed("reflection unit is not dense")
             return ReflectionResult(reflected, unit, True, i, state)
     omega = chain_colimit(state.stages, state.connectors)
     return ReflectionResult(
@@ -320,7 +325,8 @@ def extend_along_unit(
     signals a value clash across a quotient and means a bug: the
     construction guarantees well-definedness.  The result is the least
     extension of p along the unit and restricts back to p exactly (both
-    asserted against the direct Kan computation).
+    checked against the direct Kan computation; PostconditionFailed
+    otherwise).
     """
     if not result.converged:
         raise NotConverged("cannot extend along a unit that never stabilized")
@@ -350,7 +356,10 @@ def extend_along_unit(
                     continue
                 h = klass.maps[rec.h_index]
                 ext = left_kan(rec.f.then(cur), h, cap=cap)
-                assert ext.exists and ext.strict
+                if not (ext.exists and ext.strict):
+                    raise PostconditionFailed(
+                        f"span at stage {i} has no strict extension into the target"
+                    )
                 for b in range(h.cod.n):
                     put(rec.coproj.assignment[b], ext.extension.assignment[b])
         if len(values) != nxt.n:
@@ -358,8 +367,10 @@ def extend_along_unit(
         cur = MonotoneMap(nxt, p.cod, [values[w] for w in range(nxt.n)])
 
     direct = left_kan(p, result.unit, cap=cap)
-    assert direct.exists and direct.strict and cur == direct.extension
-    assert result.unit.then(cur) == p
+    if not (direct.exists and direct.strict and cur == direct.extension):
+        raise PostconditionFailed("stagewise extension is not the least extension")
+    if result.unit.then(cur) != p:
+        raise PostconditionFailed("extension does not restrict back to p")
     return cur
 
 

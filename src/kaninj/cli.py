@@ -17,6 +17,7 @@ from typing import Optional
 
 from .catalog import MapClass, all_posets
 from .chain import extend_along_unit, reflect
+from .config import size_cap
 from .errors import KanInjError, NotConverged, NotInjectiveTarget
 from .hom import is_dense, left_kan
 from .injectivity import is_injective, is_weakly_injective, mapping_cone
@@ -303,6 +304,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     n = getattr(args, "n", 0)
     if args.command == "enumerate" and n < 0:
         raise ValueError("n must be nonnegative")
+    size_cap()  # a malformed KANINJ_SIZE_CAP fails every command up front
     return RunConfig(
         command=args.command,
         paths=tuple(paths),

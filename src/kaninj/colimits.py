@@ -3,7 +3,9 @@ objects, coinserters, coequifiers, coequinserters, and chain colimits.
 
 Everything reduces to one gluing engine: lay the input posets side by side,
 add the stated identifications and inserted inequalities as generating
-pairs, close to a preorder, and collapse symmetric pairs.  Each result
+pairs, and hand the presentation to ``poset.close_and_collapse``, which
+closes it to a preorder and collapses symmetric pairs (its boolean
+products run in float64, so stages of any size close exactly).  Each result
 keeps its generating presentation (labels, pairs, collapse map), which is
 what ``verify_universal`` checks cocone factorization against.
 
@@ -15,13 +17,12 @@ least member.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .errors import DomainMismatch, InvalidTwoCell, NotParallel
-from .poset import MonotoneMap, Poset, TwoCell, _closure
+from .errors import DomainMismatch, InvalidTwoCell, NotParallel, PostconditionFailed
+from .poset import MonotoneMap, Poset, TwoCell, close_and_collapse
 
 _RECORDERS: list = []
 
@@ -78,7 +79,6 @@ def glue(
     for p in posets:
         offsets.append(k)
         k += p.n
-    n = k
     if len(pieces) == 1:
         gen_labels = tuple(posets[0].elements)
     else:
@@ -97,26 +97,7 @@ def glue(
         pair_list.append((a, b))
         pair_list.append((b, a))
 
-    mat = np.eye(n, dtype=bool)
-    for a, b in pair_list:
-        mat[a, b] = True
-    closed = _closure(mat) if n else mat
-    sym = closed & closed.T
-    comp = [-1] * n
-    classes = []
-    for i in range(n):
-        if comp[i] < 0:
-            members = [int(j) for j in np.flatnonzero(sym[i])]
-            for j in members:
-                comp[j] = len(classes)
-            classes.append(members)
-    class_labels = [min(gen_labels[j] for j in cls) for cls in classes]
-    order = sorted(range(len(classes)), key=lambda c: class_labels[c])
-    rank = {c: pos for pos, c in enumerate(order)}
-    reps = [classes[c][0] for c in order]
-    qmat = closed[np.ix_(reps, reps)] if n else np.zeros((0, 0), dtype=bool)
-    obj = Poset([class_labels[c] for c in order], qmat, validate=False)
-    collapse = tuple(rank[comp[i]] for i in range(n))
+    obj, collapse = close_and_collapse(gen_labels, pair_list)
     injections = tuple(
         MonotoneMap(p, obj, collapse[offsets[pi] : offsets[pi] + p.n])
         for pi, p in enumerate(posets)
@@ -133,20 +114,6 @@ def glue(
     for bucket in _RECORDERS:
         bucket.append(result)
     return result
-
-
-def _with_two_cell(res: ColimitResult, cell: TwoCell) -> ColimitResult:
-    out = ColimitResult(
-        kind=res.kind,
-        object=res.object,
-        injections=res.injections,
-        tags=res.tags,
-        gen_labels=res.gen_labels,
-        gen_pairs=res.gen_pairs,
-        collapse=res.collapse,
-        two_cell=cell,
-    )
-    return out
 
 
 # -- the constructions -------------------------------------------------------
@@ -192,7 +159,7 @@ def cocomma(f: MonotoneMap, g: MonotoneMap) -> ColimitResult:
     ineq = [((0, f.assignment[a]), (1, g.assignment[a])) for a in range(f.dom.n)]
     res = glue("cocomma", [("0", f.cod), ("1", g.cod)], ineq_pairs=ineq)
     cell = TwoCell(f.then(res.injections[0]), g.then(res.injections[1]))
-    return _with_two_cell(res, cell)
+    return dataclasses.replace(res, two_cell=cell)
 
 
 def coinserter(f: MonotoneMap, g: MonotoneMap) -> ColimitResult:
@@ -202,7 +169,7 @@ def coinserter(f: MonotoneMap, g: MonotoneMap) -> ColimitResult:
     ineq = [((0, f.assignment[b]), (0, g.assignment[b])) for b in range(f.dom.n)]
     res = glue("coinserter", [("0", f.cod)], ineq_pairs=ineq)
     cell = TwoCell(f.then(res.injections[0]), g.then(res.injections[0]))
-    return _with_two_cell(res, cell)
+    return dataclasses.replace(res, two_cell=cell)
 
 
 def coequifier(sigma: TwoCell, tau: TwoCell) -> ColimitResult:
@@ -211,7 +178,8 @@ def coequifier(sigma: TwoCell, tau: TwoCell) -> ColimitResult:
     identity quotient."""
     if sigma.src != tau.src or sigma.tgt != tau.tgt:
         raise NotParallel("coequifier needs 2-cells with equal boundary")
-    assert sigma == tau, "thinness violated"
+    if sigma != tau:
+        raise PostconditionFailed("thinness violated")
     return glue("coequifier", [("0", sigma.src.cod)])
 
 
@@ -229,17 +197,7 @@ def coequinserter(
         raise DomainMismatch("h must land in the domain of the parallel pair")
     if gamma.src != h.then(f) or gamma.tgt != h.then(g):
         raise InvalidTwoCell("gamma must run from f∘h to g∘h")
-    res = coinserter(f, g)
-    return ColimitResult(
-        kind="coequinserter",
-        object=res.object,
-        injections=res.injections,
-        tags=res.tags,
-        gen_labels=res.gen_labels,
-        gen_pairs=res.gen_pairs,
-        collapse=res.collapse,
-        two_cell=res.two_cell,
-    )
+    return dataclasses.replace(coinserter(f, g), kind="coequinserter")
 
 
 def chain_colimit(stages: Sequence, connectors: Sequence) -> ColimitResult:

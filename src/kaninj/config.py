@@ -3,7 +3,8 @@
 The only global knob is the enumeration cap: a bound on the number of
 backtracking nodes any single monotone-map search may visit.  It guards the
 |X|^|A| blowup without punishing searches that prune well.  The environment
-variable KANINJ_SIZE_CAP overrides the default.
+variable KANINJ_SIZE_CAP overrides the default; a value that is not a
+positive integer is an error, not a silent fallback.
 """
 
 import os
@@ -18,5 +19,7 @@ def size_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        return DEFAULT_SIZE_CAP
-    return value if value > 0 else DEFAULT_SIZE_CAP
+        value = 0  # rejected below, with the raw text in the message
+    if value <= 0:
+        raise ValueError(f"KANINJ_SIZE_CAP must be a positive integer, got {raw!r}")
+    return value

@@ -61,5 +61,11 @@ class QuotientViolation(KanInjError):
     """A cocone assignment is not constant on a quotient class."""
 
 
+class PostconditionFailed(KanInjError):
+    """A construction's own result broke a property the construction
+    guarantees.  This means a bug, not bad input; unlike an ``assert`` the
+    check still runs under ``python -O``."""
+
+
 class NotConverged(KanInjError):
     """The reflection chain did not converge within the step budget."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -187,11 +187,17 @@ def preserves_kan(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> 
         raise NotInjectiveContext("domain of p is not strongly Kan-injective")
     if not strongly_injective(p.cod, h, cap=cap):
         raise NotInjectiveContext("codomain of p is not strongly Kan-injective")
-    for f in enumerate_monotone(h.dom, p.dom, cap=cap):
-        lhs = left_kan(f, h, cap=cap).extension.then(p)
-        rhs = left_kan(f.then(p), h, cap=cap).extension
-        if lhs != rhs:
-            return False
+    return _preserves_all(p, (h,), cap)
+
+
+def _preserves_all(p: MonotoneMap, maps: Sequence, cap: Optional[int]) -> bool:
+    """Extension preservation for a map whose endpoints are already known
+    strongly injective along everything in maps."""
+    for h in maps:
+        for f in enumerate_monotone(h.dom, p.dom, cap=cap):
+            lhs = left_kan(f, h, cap=cap).extension.then(p)
+            if lhs != left_kan(f.then(p), h, cap=cap).extension:
+                return False
     return True
 
 

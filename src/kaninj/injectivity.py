@@ -20,7 +20,6 @@ from .hom import hom_poset, left_kan, precompose
 from .poset import (
     MonotoneMap,
     Poset,
-    TwoCell,
     classify_adjoint,
     enumerate_monotone,
     left_adjoint,

@@ -6,6 +6,14 @@ Conventions used throughout the package:
   reflexive-transitive ``leq`` matrix (numpy bool, frozen).  At the sizes
   this library targets, keeping the closed matrix beats recomputing
   reachability.
+* A presentation (labels plus generating inequalities) becomes a poset
+  in one place, ``close_and_collapse``: close the relation, then merge
+  the classes of elements it forces equal.  ``build_poset`` and every
+  colimit go through it.
+* Every boolean matrix product is taken in float64 (``_square``).  Path
+  counts reach the number of elements, odd stages of the reflection
+  chain reach several hundred, and 8-bit counts would wrap at 256 and
+  drop pairs from a closure or add false cover pairs.
 * Monotone maps are total index assignments, validated against the cover
   relation of the domain.
 * Hom-sets are locally thin: a 2-cell between parallel maps exists exactly
@@ -37,16 +45,21 @@ from .errors import (
 )
 
 
-def _closure(mat: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure by repeated boolean squaring.
+def _square(m: np.ndarray) -> np.ndarray:
+    """Boolean matrix square: [i, j] iff m[i, k] and m[k, j] for some k.
 
-    The squaring runs in float64 so the matmul hits BLAS and path
-    counts cannot wrap on stages with a few hundred elements."""
+    Every boolean product in the package goes through here.  It runs in
+    float64 so the matmul hits BLAS and the path counts stay exact."""
+    f = m.astype(np.float64)
+    return (f @ f) > 0
+
+
+def _closure(mat: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure by repeated boolean squaring."""
     m = mat.astype(bool).copy()
     np.fill_diagonal(m, True)
     while True:
-        f = m.astype(np.float64)
-        nxt = (f @ f) > 0
+        nxt = _square(m)
         if np.array_equal(nxt, m):
             return nxt
         m = nxt
@@ -68,13 +81,10 @@ class Poset:
         mat.setflags(write=False)
         self.leq = mat
         if validate:
-            self._validate()
+            self.validate()
 
     def validate(self) -> None:
         """Re-check all poset invariants (reflexive, antisymmetric, closed)."""
-        self._validate()
-
-    def _validate(self) -> None:
         n = len(self.elements)
         if len(set(self.elements)) != n:
             raise DuplicateLabel("duplicate element labels")
@@ -87,10 +97,7 @@ class Poset:
         sym = self.leq & self.leq.T
         if sym.sum() != n:
             raise CycleDetected("leq is not antisymmetric")
-        m = self.leq.astype(np.uint8)
-        if ((m @ m) > 0).astype(bool).sum() != self.leq.sum() or not (
-            ((m @ m) > 0) <= self.leq
-        ).all():
+        if not np.array_equal(_square(self.leq), self.leq):
             raise ValueError("leq is not transitively closed")
 
     # -- basic access ----------------------------------------------------
@@ -148,8 +155,7 @@ class Poset:
     def covers(self) -> np.ndarray:
         """covers[i, j] iff j covers i (i < j with nothing strictly between)."""
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        via = (strict.astype(np.uint8) @ strict.astype(np.uint8)) > 0
-        return strict & ~via
+        return strict & ~_square(strict)
 
     @cached_property
     def cover_pairs(self) -> tuple:
@@ -208,15 +214,6 @@ class Poset:
         for i in indices:
             upper &= self.up_masks[i]
         return self.least_of(upper)
-
-    def join_index(self, i: int, j: int) -> Optional[int]:
-        return self.join_of((i, j))
-
-    def bottom_index(self) -> Optional[int]:
-        return self.least_of(self.full_mask) if self.n else None
-
-    def top_index(self) -> Optional[int]:
-        return self.greatest_of(self.full_mask) if self.n else None
 
     def dual(self) -> "Poset":
         return Poset(self.elements, self.leq.T, validate=False)
@@ -358,9 +355,6 @@ class MonotoneMap:
     def identity(p: Poset) -> "MonotoneMap":
         return MonotoneMap(p, p, range(p.n), validate=False)
 
-    def apply_idx(self, i: int) -> int:
-        return self.assignment[i]
-
     def __call__(self, label: str) -> str:
         return self.cod.elements[self.assignment[self.dom.index[label]]]
 
@@ -391,9 +385,6 @@ class MonotoneMap:
     def __repr__(self) -> str:
         return f"MonotoneMap({self.as_dict()!r})"
 
-    def is_identity(self) -> bool:
-        return self.dom.key == self.cod.key and self.assignment == tuple(range(self.dom.n))
-
     def is_order_iso(self) -> bool:
         """Bijective and order-reflecting (hence an isomorphism of posets)."""
         if self.dom.n != self.cod.n or len(set(self.assignment)) != self.dom.n:
@@ -423,9 +414,6 @@ class TwoCell:
         if not self.src.pointwise_leq(self.tgt):
             raise InvalidTwoCell("source is not pointwise below target")
 
-    def is_identity(self) -> bool:
-        return self.src == self.tgt
-
 
 def two_cell_exists(f: MonotoneMap, g: MonotoneMap) -> bool:
     try:
@@ -437,51 +425,23 @@ def two_cell_exists(f: MonotoneMap, g: MonotoneMap) -> bool:
 # -- construction ----------------------------------------------------------
 
 
-def build_poset(labels: Iterable[str], pairs: Iterable) -> Poset:
-    """Poset from labels and generating inequalities (closure is implied).
+def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
+    """The poset presented by generators and inequalities between them.
 
-    Raises DuplicateLabel, UnknownLabel, or CycleDetected when the input is
-    not a presentation of a poset.
+    ``index_pairs`` holds generating inequalities (i, j) between indices
+    into ``labels``.  The relation is closed reflexively and transitively,
+    and each class of generators forced equal becomes one element, named
+    after its least label; elements are sorted by name.  Returns
+    ``(poset, collapse)`` with ``collapse[i]`` the element that generator
+    i lands on.  This is the only place a relation is closed and
+    collapsed: every poset built from a presentation and every colimit
+    comes from here.
     """
-    labels = [str(x) for x in labels]
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel("duplicate labels in poset description")
-    elements = tuple(sorted(labels))
-    index = {lbl: i for i, lbl in enumerate(elements)}
-    n = len(elements)
+    n = len(labels)
     mat = np.eye(n, dtype=bool)
-    for a, b in pairs:
-        if a not in index or b not in index:
-            raise UnknownLabel(f"unknown label in pair ({a!r}, {b!r})")
-        mat[index[a], index[b]] = True
-    closed = _closure(mat) if n else mat
-    sym = closed & closed.T
-    if n and sym.sum() != n:
-        i, j = map(int, np.argwhere(sym & ~np.eye(n, dtype=bool))[0])
-        raise CycleDetected(
-            f"labels {elements[i]!r} and {elements[j]!r} are forced equal"
-        )
-    return Poset(elements, closed, validate=False)
-
-
-def preorder_collapse(labels: Iterable[str], pairs: Iterable) -> tuple:
-    """Close the stated inequalities and collapse symmetric pairs.
-
-    Returns ``(poset, assignment)`` where ``assignment`` maps each input
-    label to the label of its class (named after the least member).
-    """
-    labels = [str(x) for x in labels]
-    if len(set(labels)) != len(labels):
-        raise DuplicateLabel("duplicate labels in preorder description")
-    ordered = sorted(labels)
-    index = {lbl: i for i, lbl in enumerate(ordered)}
-    n = len(ordered)
-    mat = np.eye(n, dtype=bool)
-    for a, b in pairs:
-        if a not in index or b not in index:
-            raise UnknownLabel(f"unknown label in pair ({a!r}, {b!r})")
-        mat[index[a], index[b]] = True
-    closed = _closure(mat) if n else mat
+    for a, b in index_pairs:
+        mat[a, b] = True
+    closed = _closure(mat)
     sym = closed & closed.T
     comp = [-1] * n
     classes = []
@@ -491,17 +451,38 @@ def preorder_collapse(labels: Iterable[str], pairs: Iterable) -> tuple:
             for j in members:
                 comp[j] = len(classes)
             classes.append(members)
-    class_labels = [min(ordered[j] for j in cls) for cls in classes]
+    class_labels = [min(labels[j] for j in cls) for cls in classes]
     order = sorted(range(len(classes)), key=lambda c: class_labels[c])
-    rank = {c: k for k, c in enumerate(order)}
-    q = len(classes)
-    qmat = np.zeros((q, q), dtype=bool)
-    for c, members in enumerate(classes):
-        for d, others in enumerate(classes):
-            qmat[rank[c], rank[d]] = bool(closed[members[0], others[0]])
-    poset = Poset([class_labels[c] for c in order], qmat, validate=False)
-    assignment = {ordered[i]: class_labels[comp[i]] for i in range(n)}
-    return poset, assignment
+    rank = {c: pos for pos, c in enumerate(order)}
+    reps = [classes[c][0] for c in order]
+    poset = Poset([class_labels[c] for c in order], closed[np.ix_(reps, reps)], validate=False)
+    return poset, tuple(rank[comp[i]] for i in range(n))
+
+
+def build_poset(labels: Iterable[str], pairs: Iterable) -> Poset:
+    """Poset from labels and generating inequalities (closure is implied).
+
+    Raises DuplicateLabel, UnknownLabel, or CycleDetected when the input is
+    not a presentation of a poset.
+    """
+    labels = [str(x) for x in labels]
+    if len(set(labels)) != len(labels):
+        raise DuplicateLabel("duplicate labels in poset description")
+    elements = sorted(labels)
+    index = {lbl: i for i, lbl in enumerate(elements)}
+    index_pairs = []
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise UnknownLabel(f"unknown label in pair ({a!r}, {b!r})")
+        index_pairs.append((index[a], index[b]))
+    poset, collapse = close_and_collapse(elements, index_pairs)
+    if poset.n != len(elements):
+        i = next(k for k, c in enumerate(collapse) if collapse.count(c) > 1)
+        j = collapse.index(collapse[i], i + 1)
+        raise CycleDetected(
+            f"labels {elements[i]!r} and {elements[j]!r} are forced equal"
+        )
+    return poset
 
 
 # -- enumeration -----------------------------------------------------------

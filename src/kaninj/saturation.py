@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 from .catalog import MapClass
 from .colimits import cocomma, pushout, wide_pushout
 from .errors import DomainMismatch, NotLari, SquareDoesNotCommute
-from .hom import left_kan, strongly_injective
+from .hom import _preserves_all, strongly_injective
 from .injectivity import is_injective
-from .poset import MonotoneMap, Poset, classify_adjoint, enumerate_monotone, right_adjoint
+from .poset import MonotoneMap, classify_adjoint, enumerate_monotone, right_adjoint
 
 __all__ = [
     "SaturationWitness",
@@ -103,7 +103,8 @@ def sat_wide_pushout(hs: Sequence) -> SaturationWitness:
     res = wide_pushout(apex, [w.produced for w in ws])
     diag = ws[0].produced.then(res.injections[0])
     for k, w in enumerate(ws):
-        assert w.produced.then(res.injections[k]) == diag
+        if w.produced.then(res.injections[k]) != diag:
+            raise SquareDoesNotCommute(f"wide pushout leg {k} does not commute")
     return SaturationWitness(diag, "wide-pushout", tuple(ws))
 
 
@@ -157,17 +158,6 @@ def _strong_part(klass: MapClass, sample: Sequence, cap: Optional[int]):
                     maps.append(p)
     _STRONG_CACHE[key] = (strong, maps)
     return strong, maps
-
-
-def _preserves_all(p: MonotoneMap, maps: Sequence, cap: Optional[int]) -> bool:
-    """Extension preservation for a map whose endpoints are already known
-    strongly injective along everything in maps."""
-    for h in maps:
-        for f in enumerate_monotone(h.dom, p.dom, cap=cap):
-            lhs = left_kan(f, h, cap=cap).extension.then(p)
-            if lhs != left_kan(f.then(p), h, cap=cap).extension:
-                return False
-    return True
 
 
 def closure_failures(w, klass: MapClass, sample: Sequence, cap: Optional[int] = None) -> list:

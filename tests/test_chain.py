@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +173,43 @@ def test_registry_dedup_regression():
     r = reflect(antichain(3), class_join())
     even = [s.n for s in r.trace.stages[::2]]
     assert even[-1] == even[-2] == 7
+
+
+_FORCED_FAILURES = """
+import sys
+import kaninj
+from kaninj import MonotoneMap, PostconditionFailed, antichain, class_join, reflect
+from kaninj.hom import KanResult
+
+chain_mod = sys.modules["kaninj.chain"]
+print("optimize", sys.flags.optimize)
+r = reflect(antichain(2), class_join())
+
+chain_mod.is_dense = lambda f: False
+try:
+    reflect(antichain(2), class_join())
+except PostconditionFailed as exc:
+    print("reflect:", exc)
+chain_mod.is_dense = kaninj.is_dense
+
+real_kan = chain_mod.left_kan
+chain_mod.left_kan = lambda f, h, cap=None: KanResult(True, real_kan(f, h).extension, False, "forced")
+try:
+    chain_mod.extend_along_unit(r.unit, r, class_join())
+except PostconditionFailed as exc:
+    print("extend:", exc)
+"""
+
+
+def test_postconditions_survive_optimize():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _FORCED_FAILURES],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out == [
+        "optimize 1",
+        "reflect: reflection unit is not dense",
+        "extend: span at stage 0 has no strict extension into the target",
+    ]

@@ -190,3 +190,24 @@ def test_cap_cuts_search(tmp_path, capsys):
     klass = write(tmp_path, "k.json", class_to_json(class_join()))
     x = write(tmp_path, "x.json", poset_to_json(antichain(2)))
     assert main(["reflect", x, klass, "--cap", "1"]) == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_malformed_size_cap_env_exits_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("KANINJ_SIZE_CAP", raw)
+    assert main(["enumerate", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert repr(raw) in captured.err
+
+
+def test_valid_size_cap_env_is_used(tmp_path, monkeypatch, capsys):
+    klass = write(tmp_path, "k.json", class_to_json(class_join()))
+    x = write(tmp_path, "x.json", poset_to_json(antichain(2)))
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
+    assert main(["reflect", x, klass]) == 2
+    assert "cap of 1 nodes" in capsys.readouterr().err
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "100000")
+    assert main(["reflect", x, klass]) == 0
+    assert out_json(capsys)["converged"] is True

@@ -6,6 +6,7 @@ from kaninj import (
     Poset,
     SizeCapExceeded,
     all_posets,
+    poset_to_json,
     antichain,
     build_poset,
     chain,
@@ -16,7 +17,7 @@ from kaninj import (
     two_cell_exists,
     vee,
 )
-from kaninj.errors import NotMonotone, NotParallel
+from kaninj.errors import CycleDetected, NotMonotone, NotParallel
 from kaninj.poset import TwoCell, iter_monotone_assignments, monotone_value_sets
 
 from oracles import brute_monotone
@@ -44,6 +45,34 @@ def test_validate_rejects_cycle():
     leq = np.array([[True, True], [True, True]])
     with pytest.raises(Exception):
         Poset(["a", "b"], leq)
+
+
+def test_build_poset_cycle_message():
+    with pytest.raises(CycleDetected, match=r"^labels 'a' and 'b' are forced equal$"):
+        build_poset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def wide_diamond(k: int):
+    """bot < m000, ..., m<k-1> < top: k paths from bot to top."""
+    mids = [f"m{i:03d}" for i in range(k)]
+    pairs = [("bot", m) for m in mids] + [(m, "top") for m in mids]
+    return build_poset(["bot", "top"] + mids, pairs)
+
+
+def test_covers_exact_past_255_paths():
+    # 256 paths from bot to top: an 8-bit path count wraps to 0 there
+    p = wide_diamond(256)
+    bot, top = p.index["bot"], p.index["top"]
+    assert not p.covers[bot, top]
+    assert (bot, top) not in p.cover_pairs
+    assert len(p.cover_pairs) == 512
+    assert len(poset_to_json(p)["leq"]) == 512
+
+
+def test_validate_accepts_wide_closed_poset():
+    # with bot and top themselves, 256 elements lie between bot and top
+    p = wide_diamond(254)
+    assert Poset(p.elements, p.leq) == p
 
 
 def test_duplicate_labels_rejected():
