@@ -25,6 +25,7 @@ from .catalog import (
     standard_classes,
     vee,
 )
+from .cache import clear_caches
 from .chain import (
     ChainState,
     KZReport,
@@ -73,7 +74,6 @@ from .errors import (
 from .hom import (
     KanResult,
     beck_chevalley,
-    clear_caches,
     hom_poset,
     is_dense,
     left_kan,
@@ -90,6 +90,7 @@ from .injectivity import (
     is_weakly_injective,
     mapping_cone,
     strong_objects,
+    verdict,
 )
 from .poset import (
     AdjointFlags,

@@ -8,11 +8,11 @@ into the wedge a, b < top (freely adjoining a binary join).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
+from .cache import BoundedCache
 from .poset import MonotoneMap, Poset, _square, build_poset
 
 
@@ -88,16 +88,22 @@ def standard_classes() -> tuple:
     return (class_bottom(), class_join(), class_bottom_join())
 
 
-@lru_cache(maxsize=None)
+_POSETS = BoundedCache()
+
+
 def all_posets(max_n: int) -> tuple:
     """One representative per isomorphism class of posets with <= max_n
-    elements, in a fixed deterministic order.
+    elements, in a fixed deterministic order; enumerated once per max_n.
 
     Enumerates transitive strict upper-triangular relations (every poset
     admits a linear extension, so each class appears) and dedupes by
     canonical form.  Counts match the known sequence 1, 1, 2, 5, 16, 63,
     318 for sizes 0 through 6.
     """
+    return _POSETS.get(max_n, lambda: _enumerate_posets(max_n))
+
+
+def _enumerate_posets(max_n: int) -> tuple:
     out = []
     for n in range(max_n + 1):
         seen = {}

@@ -34,7 +34,7 @@ from .errors import (
     SquareDoesNotCommute,
 )
 from .hom import is_dense, left_kan
-from .injectivity import is_injective, strong_objects
+from .injectivity import strong_objects, verdict
 from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, monotone_value_sets
 
 __all__ = [
@@ -299,7 +299,7 @@ def reflect(
         if state.connector(i, i + 2).is_order_iso():
             reflected = state.stages[i]
             unit = state.connector(0, i)
-            if not is_injective(reflected, klass, cap=cap).strong:
+            if verdict(reflected, klass, cap=cap) != "strong":
                 raise PostconditionFailed("reflected stage is not strongly injective")
             if not is_dense(unit):
                 raise PostconditionFailed("reflection unit is not dense")
@@ -318,7 +318,8 @@ def extend_along_unit(
 ) -> MonotoneMap:
     """Transport p: X -> P along the unit, stage by stage.
 
-    P must be strongly injective for the class.  Odd stages are covered
+    P must be strongly injective for the class; that is decided once per
+    target and read from the verdict cache afterwards.  Odd stages are covered
     by the previous stage together with the span witnesses, which go to
     the least extensions (p_i∘f)/h; even stages are quotients, so the
     previous values must be constant on classes.  QuotientViolation
@@ -333,7 +334,7 @@ def extend_along_unit(
     state = result.trace
     if p.dom.key != state.stages[0].key:
         raise DomainMismatch("p must start at the base of the chain")
-    if not is_injective(p.cod, klass, cap=cap).strong:
+    if verdict(p.cod, klass, cap=cap) != "strong":
         raise NotInjectiveTarget("extension target is not strongly Kan-injective")
 
     cur = p
@@ -472,7 +473,7 @@ def kz_laws(
                 law2 = False
             checked += 1
 
-    strong = is_injective(x, klass, cap=cap).strong
+    strong = verdict(x, klass, cap=cap) == "strong"
     r_id = left_kan(MonotoneMap.identity(x), d, cap=cap)
     retraction = False
     if r_id.exists and r_id.strict:

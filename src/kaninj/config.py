@@ -8,6 +8,7 @@ positive integer is an error, not a silent fallback.
 """
 
 import os
+from typing import Optional
 
 DEFAULT_SIZE_CAP = 10_000_000
 
@@ -23,3 +24,9 @@ def size_cap() -> int:
     if value <= 0:
         raise ValueError(f"KANINJ_SIZE_CAP must be a positive integer, got {raw!r}")
     return value
+
+
+def effective_cap(cap: Optional[int]) -> int:
+    """The cap a search given cap will use: cap itself, or size_cap()
+    when it is None.  Caches of capped searches key on this."""
+    return size_cap() if cap is None else cap

@@ -18,7 +18,23 @@ class CycleDetected(KanInjError):
 
 
 class SizeCapExceeded(KanInjError):
-    """An enumeration exceeded the configured search cap."""
+    """A monotone-map search visited more nodes than its cap allows.
+
+    Names the search that ran out: dom_n and cod_n are the sizes of the
+    domain and codomain of the maps searched, visited the nodes visited
+    when it stopped.
+    """
+
+    def __init__(self, cap: int, dom_n: int, cod_n: int, visited: int):
+        self.cap = cap
+        self.dom_n = dom_n
+        self.cod_n = cod_n
+        self.visited = visited
+        super().__init__(
+            f"monotone map search from a {dom_n}-element poset into a "
+            f"{cod_n}-element poset exceeded cap of {cap} nodes "
+            f"({visited} visited)"
+        )
 
 
 class NotMonotone(KanInjError):

@@ -6,6 +6,10 @@ minimal elements, the extension does not exist.  A pointwise join formula
 is used when every needed join exists (and is provably the least candidate
 then); otherwise the candidate set is searched outright.  The two routes
 agree wherever both apply, which the test-suite checks independently.
+
+``hom_poset(a, x, cap)`` is memoised in a bounded table keyed on both
+posets and the effective size cap, so its answer, a hom-poset or
+``SizeCapExceeded``, never depends on which calls came before.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .cache import BoundedCache, clear_caches  # noqa: F401  (re-exported)
+from .config import effective_cap
 from .errors import DomainMismatch, NotInjectiveContext
 from .poset import (
     MonotoneMap,
@@ -26,7 +32,7 @@ from .poset import (
     left_adjoint,
 )
 
-_HOM_CACHE: dict = {}
+_HOMS = BoundedCache()
 
 
 class HomPoset:
@@ -60,23 +66,19 @@ class HomPoset:
 
 
 def hom_poset(a: Poset, x: Poset, cap: Optional[int] = None) -> HomPoset:
-    key = (a.key, x.key)
-    found = _HOM_CACHE.get(key)
-    if found is None:
-        found = HomPoset(a, x, cap=cap)
-        _HOM_CACHE[key] = found
-    return found
-
-
-def clear_caches() -> None:
-    _HOM_CACHE.clear()
+    """hom(a, x), memoised per (a, x, effective cap)."""
+    return _HOMS.get((a.key, x.key, effective_cap(cap)), lambda: HomPoset(a, x, cap=cap))
 
 
 def precompose(h: MonotoneMap, x: Poset) -> MonotoneMap:
     """Restriction K(h, x): hom(cod h, x) -> hom(dom h, x), g -> g∘h,
     as a monotone map between the hom-posets."""
-    src = hom_poset(h.cod, x)
-    tgt = hom_poset(h.dom, x)
+    return _restriction(h, hom_poset(h.cod, x), hom_poset(h.dom, x))
+
+
+def _restriction(h: MonotoneMap, src: HomPoset, tgt: HomPoset) -> MonotoneMap:
+    """precompose(h, x) on the hom-posets src = hom(cod h, x) and
+    tgt = hom(dom h, x) already in hand."""
     assign = [
         tgt.index[tuple(g[v] for v in h.assignment)] for g in src.assignments
     ]

@@ -6,6 +6,13 @@ extensions restricts back to f on the nose.  A monotone map is injective
 when its endpoints are and it commutes with taking extensions.  The
 mapping cone turns every weak question into a strong one about a single
 associated inclusion.
+
+``is_injective``, ``is_weakly_injective`` and ``is_injective_map``
+decide from scratch every time and return the evidence.  ``verdict``
+returns only the verdict string and decides each (poset, class maps,
+effective cap) once per process: a caller that only needs to know
+whether a target is strong, such as ``extend_along_unit`` on every call,
+pays for the scan and its adjoint cross-check once.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .cache import BoundedCache
 from .catalog import MapClass, all_posets
 from .colimits import cocomma
+from .config import effective_cap
 from .errors import SizeCapExceeded
-from .hom import hom_poset, left_kan, precompose
+from .hom import _restriction, hom_poset, left_kan
 from .poset import (
     MonotoneMap,
     Poset,
@@ -30,6 +39,7 @@ __all__ = [
     "is_weakly_injective",
     "is_injective",
     "is_injective_map",
+    "verdict",
     "mapping_cone",
     "cone_class",
     "strong_objects",
@@ -118,7 +128,7 @@ def _small_precompose(h: MonotoneMap, x: Poset) -> Optional[MonotoneMap]:
         return None
     if len(hb) > CROSS_CHECK_CAP or len(ha) > CROSS_CHECK_CAP:
         return None
-    return precompose(h, x)
+    return _restriction(h, hb, ha)
 
 
 def is_weakly_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
@@ -162,6 +172,17 @@ def is_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> Inject
         agree = classify_adjoint(m).is_rali == (exists_per_h[hi] and strict_per_h[hi])
         cross = agree if cross is None else (cross and agree)
     return InjectivityReport(_subject(x), verdict, witnesses, failures, cross)
+
+
+_VERDICTS = BoundedCache()
+
+
+def verdict(x: Poset, klass: MapClass, cap: Optional[int] = None) -> str:
+    """is_injective(x, klass, cap).verdict, decided once per (x, maps of
+    klass, effective cap) and then read from a bounded cache.  Only the
+    string is kept; SizeCapExceeded is raised, never stored."""
+    key = (x.key, tuple(h.key() for h in klass.maps), effective_cap(cap))
+    return _VERDICTS.get(key, lambda: is_injective(x, klass, cap=cap).verdict)
 
 
 def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
@@ -227,6 +248,4 @@ def strong_objects(max_n: int, klass: MapClass, cap: Optional[int] = None) -> tu
     """Representatives of every isomorphism class with at most max_n
     elements that are strongly injective for the class, in the fixed
     enumeration order."""
-    return tuple(
-        p for p in all_posets(max_n) if is_injective(p, klass, cap=cap).strong
-    )
+    return tuple(p for p in all_posets(max_n) if verdict(p, klass, cap=cap) == "strong")

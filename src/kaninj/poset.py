@@ -510,8 +510,7 @@ def iter_monotone_assignments(
     below pointwise (``lower[i]`` lists elements of x that must lie below the
     image of i).  Backtracks over a linear extension with bitmask pruning;
     raises SizeCapExceeded when the visited-node budget is exhausted."""
-    if cap is None:
-        cap = config.size_cap()
+    cap = config.effective_cap(cap)
     n = a.n
     if n == 0:
         yield ()
@@ -539,9 +538,7 @@ def iter_monotone_assignments(
             mask ^= low
             visited += 1
             if visited > cap:
-                raise SizeCapExceeded(
-                    f"monotone map search exceeded cap of {cap} nodes"
-                )
+                raise SizeCapExceeded(cap, n, x.n, visited)
             assign[e] = v
             yield from rec(k + 1)
 

@@ -7,6 +7,11 @@ output in a witness recording the recipe used, and closure_check
 falsifies a witness against a finite sample of injectives.  A raw
 MonotoneMap is accepted wherever a witness is expected and treated as an
 assumed member of the base class.
+
+The strong objects and strong maps of a (class, sample) pair are found
+once per effective size cap and kept in a bounded cache, so repeated
+closure checks against one sample share them; ``clear_caches()``
+empties it.
 """
 
 from __future__ import annotations
@@ -14,11 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .cache import BoundedCache
 from .catalog import MapClass
 from .colimits import cocomma, pushout, wide_pushout
+from .config import effective_cap
 from .errors import DomainMismatch, NotLari, SquareDoesNotCommute
 from .hom import _preserves_all, strongly_injective
-from .injectivity import is_injective
+from .injectivity import verdict
 from .poset import MonotoneMap, classify_adjoint, enumerate_monotone, right_adjoint
 
 __all__ = [
@@ -135,28 +142,28 @@ def sat_reflection(
     return SaturationWitness(s, "reflection-square", (h, l1, l2, r1, r2, s))
 
 
-# strong objects and strong maps per (class, sample), shared across
-# closure checks in one run
-_STRONG_CACHE: dict = {}
+_STRONG_PARTS = BoundedCache()
 
 
 def _strong_part(klass: MapClass, sample: Sequence, cap: Optional[int]):
+    """The strong objects of the sample and the strong maps between
+    them, found once per (class maps, sample, effective cap)."""
     key = (
         tuple(h.key() for h in klass.maps),
         tuple(x.key for x in sample),
-        cap,
+        effective_cap(cap),
     )
-    hit = _STRONG_CACHE.get(key)
-    if hit is not None:
-        return hit
-    strong = [x for x in sample if is_injective(x, klass, cap=cap).strong]
+    return _STRONG_PARTS.get(key, lambda: _find_strong_part(klass, sample, cap))
+
+
+def _find_strong_part(klass: MapClass, sample: Sequence, cap: Optional[int]):
+    strong = [x for x in sample if verdict(x, klass, cap=cap) == "strong"]
     maps = []
     for x in strong:
         for y in strong:
             for p in enumerate_monotone(x, y, cap=cap):
                 if _preserves_all(p, klass.maps, cap):
                     maps.append(p)
-    _STRONG_CACHE[key] = (strong, maps)
     return strong, maps
 
 

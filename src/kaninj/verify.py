@@ -40,7 +40,7 @@ from .colimits import (
 )
 from .errors import NotConverged
 from .hom import is_dense
-from .injectivity import is_injective, is_injective_map, is_weakly_injective, mapping_cone
+from .injectivity import is_injective_map, is_weakly_injective, mapping_cone, verdict
 from .poset import MonotoneMap, Poset, TwoCell, enumerate_monotone, two_cell_exists
 from .saturation import (
     SaturationWitness,
@@ -198,7 +198,7 @@ def suite_cone(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -
         )
         for x in all_posets(size):
             weak = is_weakly_injective(x, klass, cap=cap).weak
-            strong = is_injective(x, cones, cap=cap).strong
+            strong = verdict(x, cones, cap=cap) == "strong"
             checks.append(
                 Check(
                     f"cone-obj[{klass.name}]{_name(x)}",
@@ -231,7 +231,7 @@ def suite_bilimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
     a product and must fail."""
     checks = []
     for klass in standard_classes():
-        strong = [x for x in all_posets(size) if is_injective(x, klass, cap=cap).strong]
+        strong = [x for x in all_posets(size) if verdict(x, klass, cap=cap) == "strong"]
         for i, x in enumerate(strong):
             for y in strong[i:]:
                 label = f"prod[{klass.name}]{_name(x)}x{_name(y)}"
@@ -240,14 +240,14 @@ def suite_bilimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
                     checks.append(
                         Check(
                             label,
-                            is_injective(wrong, klass, cap=cap).strong,
+                            verdict(wrong, klass, cap=cap) == "strong",
                             "coproduct posing as product",
                         )
                     )
                     continue
                 prod, pi1, pi2 = product(x, y)
                 ok = (
-                    is_injective(prod, klass, cap=cap).strong
+                    verdict(prod, klass, cap=cap) == "strong"
                     and is_injective_map(pi1, klass, cap=cap).strong
                     and is_injective_map(pi2, klass, cap=cap).strong
                 )

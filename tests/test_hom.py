@@ -16,7 +16,7 @@ from kaninj import (
     preserves_kan,
     vee,
 )
-from kaninj.errors import DomainMismatch, NotInjectiveContext
+from kaninj.errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
 from kaninj.hom import beck_chevalley, clear_caches, hom_poset, postcompose, precompose
 
 from oracles import brute_dense, brute_kan, brute_monotone
@@ -128,3 +128,12 @@ def test_beck_chevalley_instance():
 def test_clear_caches_runs():
     left_kan(MonotoneMap.identity(vee()), MonotoneMap.identity(vee()))
     clear_caches()
+
+
+def test_hom_poset_honours_cap_after_uncapped_call():
+    # the answer must not depend on call history: a cached hom-poset
+    # found under the default cap does not answer a call with a smaller one
+    full = hom_poset(chain(3), vee())
+    with pytest.raises(SizeCapExceeded):
+        hom_poset(chain(3), vee(), cap=2)
+    assert len(full) == len(brute_monotone(chain(3), vee()))

@@ -1,25 +1,36 @@
+import pytest
+
 from kaninj import (
     MapClass,
     MonotoneMap,
+    SizeCapExceeded,
     all_posets,
     antichain,
     chain,
     class_bottom,
     class_bottom_join,
     class_join,
+    clear_caches,
+    closure_check,
     cone_class,
     diamond,
     enumerate_monotone,
+    extend_along_unit,
     is_injective,
     is_injective_map,
     is_weakly_injective,
+    join_map,
     mapping_cone,
     point,
+    reflect,
     standard_classes,
     strong_objects,
     two_cell_exists,
     vee,
+    verdict,
 )
+from kaninj import cache
+from kaninj.injectivity import _VERDICTS
 
 from oracles import brute_kan, brute_monotone, brute_preserves, brute_strong, brute_weak
 
@@ -117,3 +128,45 @@ def test_strong_objects_counts():
 def test_adjoint_cross_check_populated():
     rep = is_injective(vee(), class_join())
     assert rep.cross_check is True
+
+
+def test_verdict_matches_is_injective():
+    classes = list(standard_classes()) + [collapse_class()]
+    classes += [cone_class(k) for k in classes]
+    clear_caches()
+    for klass in classes:
+        for x in all_posets(4):
+            want = is_injective(x, klass).verdict
+            assert verdict(x, klass) == want, (klass.name, x.elements)
+            assert verdict(x, klass) == want  # answered from the cache
+
+
+def test_verdict_cache_honours_a_later_cap(monkeypatch):
+    assert verdict(chain(3), class_join()) == "strong"
+    entries = len(_VERDICTS)
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
+    with pytest.raises(SizeCapExceeded):
+        verdict(chain(3), class_join())
+    assert len(_VERDICTS) == entries  # a raised search stores nothing
+
+
+def test_verdict_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(cache, "BOUND", 3)
+    clear_caches()
+    for x in all_posets(3):
+        assert verdict(x, class_join()) == is_injective(x, class_join()).verdict
+        assert len(_VERDICTS) <= 3
+    # evicted entries are decided again, with the same answer
+    assert verdict(point(), class_join()) == "strong"
+    assert len(_VERDICTS) == 3
+
+
+def test_clear_caches_empties_every_cache():
+    x = antichain(2)
+    klass = class_join()
+    r = reflect(x, klass)
+    extend_along_unit(MonotoneMap(x, vee(), [0, 1]), r, klass)
+    closure_check(join_map(), klass, all_posets(2))
+    assert all(len(table) for table in cache._TABLES)
+    clear_caches()
+    assert not any(len(table) for table in cache._TABLES)

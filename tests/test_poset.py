@@ -191,3 +191,12 @@ def test_is_order_iso():
     # monotone bijection that is not an order iso
     b = MonotoneMap(antichain(2), chain(2), [0, 1])
     assert not b.is_order_iso()
+
+
+def test_cap_error_names_the_search():
+    with pytest.raises(SizeCapExceeded) as info:
+        list(iter_monotone_assignments(antichain(4), chain(4), cap=3))
+    err = info.value
+    assert (err.cap, err.dom_n, err.cod_n, err.visited) == (3, 4, 4, 4)
+    assert "from a 4-element poset into a 4-element poset" in str(err)
+    assert "cap of 3 nodes" in str(err)

@@ -3,6 +3,7 @@ import pytest
 from kaninj import (
     MonotoneMap,
     SaturationWitness,
+    SizeCapExceeded,
     all_posets,
     antichain,
     chain,
@@ -10,6 +11,7 @@ from kaninj import (
     class_bottom_join,
     class_join,
     classify_adjoint,
+    clear_caches,
     closure_check,
     closure_failures,
     empty,
@@ -24,6 +26,7 @@ from kaninj import (
     witness_menu,
 )
 from kaninj.errors import DomainMismatch, NotLari, SquareDoesNotCommute
+from kaninj.saturation import _STRONG_PARTS, _strong_part
 
 SAMPLE = all_posets(3)
 
@@ -163,3 +166,15 @@ def test_raw_map_is_assumed_member():
     w = sat_compose(h, sat_lari(bottom_incl()))
     assert w.produced.cod.key == chain(2).key
     assert closure_check(h, class_bottom(), SAMPLE)
+
+
+def test_strong_part_cache_keys_on_effective_cap_and_clears(monkeypatch):
+    strong, _ = _strong_part(class_join(), SAMPLE, None)
+    assert strong and len(_STRONG_PARTS) >= 1
+    # a cap set later is honoured, not answered from the default-cap entry
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
+    with pytest.raises(SizeCapExceeded):
+        _strong_part(class_join(), SAMPLE, None)
+    monkeypatch.delenv("KANINJ_SIZE_CAP")
+    clear_caches()
+    assert len(_STRONG_PARTS) == 0
