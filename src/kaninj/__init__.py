@@ -79,8 +79,6 @@ from .hom import (
     left_kan,
     postcompose,
     precompose,
-    preserves_kan,
-    strongly_injective,
 )
 from .injectivity import (
     InjectivityReport,
@@ -89,6 +87,7 @@ from .injectivity import (
     is_injective_map,
     is_weakly_injective,
     mapping_cone,
+    preserves_kan,
     strong_objects,
     verdict,
 )

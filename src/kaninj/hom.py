@@ -1,4 +1,4 @@
-"""Hom-posets, left Kan extensions along a map, and density.
+"""Hom-posets, left Kan extensions along a map, density and Beck–Chevalley.
 
 ``left_kan(f, h)`` computes the least monotone g with f <= g∘h, taking
 "least" globally: when the candidates only have several incomparable
@@ -6,6 +6,9 @@ minimal elements, the extension does not exist.  A pointwise join formula
 is used when every needed join exists (and is provably the least candidate
 then); otherwise the candidate set is searched outright.  The two routes
 agree wherever both apply, which the test-suite checks independently.
+
+Whether a poset is strong along a class, and whether a map preserves
+extensions, are decided in ``injectivity`` on top of ``left_kan``.
 
 ``hom_poset(a, x, cap)`` is memoised in a bounded table keyed on both
 posets and the effective size cap, so its answer, a hom-poset or
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +29,6 @@ from .errors import DomainMismatch, NotInjectiveContext
 from .poset import (
     MonotoneMap,
     Poset,
-    enumerate_monotone,
     iter_monotone_assignments,
     monotone_value_sets,
     left_adjoint,
@@ -171,36 +173,6 @@ def is_dense(f: MonotoneMap) -> bool:
     if sets is None:  # unreachable: the identity always competes
         return False
     return all(sets[v] & ~y.up_masks[v] == 0 for v in range(y.n))
-
-
-def strongly_injective(x: Poset, h: MonotoneMap, cap: Optional[int] = None) -> bool:
-    """All extensions along h into x exist and are strict."""
-    for f in enumerate_monotone(h.dom, x, cap=cap):
-        r = left_kan(f, h, cap=cap)
-        if not (r.exists and r.strict):
-            return False
-    return True
-
-
-def preserves_kan(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> bool:
-    """Whether p sends the extension of f along h to the extension of p∘f,
-    for every f.  Both endpoints of p must be strongly injective along h."""
-    if not strongly_injective(p.dom, h, cap=cap):
-        raise NotInjectiveContext("domain of p is not strongly Kan-injective")
-    if not strongly_injective(p.cod, h, cap=cap):
-        raise NotInjectiveContext("codomain of p is not strongly Kan-injective")
-    return _preserves_all(p, (h,), cap)
-
-
-def _preserves_all(p: MonotoneMap, maps: Sequence, cap: Optional[int]) -> bool:
-    """Extension preservation for a map whose endpoints are already known
-    strongly injective along everything in maps."""
-    for h in maps:
-        for f in enumerate_monotone(h.dom, p.dom, cap=cap):
-            lhs = left_kan(f, h, cap=cap).extension.then(p)
-            if lhs != left_kan(f.then(p), h, cap=cap).extension:
-                return False
-    return True
 
 
 def beck_chevalley(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> bool:

@@ -7,24 +7,35 @@ when its endpoints are and it commutes with taking extensions.  The
 mapping cone turns every weak question into a strong one about a single
 associated inclusion.
 
-``is_injective``, ``is_weakly_injective`` and ``is_injective_map``
-decide from scratch every time and return the evidence.  ``verdict``
-returns only the verdict string and decides each (poset, class maps,
-effective cap) once per process: a caller that only needs to know
-whether a target is strong, such as ``extend_along_unit`` on every call,
-pays for the scan and its adjoint cross-check once.
+Both of the library's core decisions are made here: whether a poset is
+strong along the class, and whether a map preserves extensions.
+``_extensions`` lists every extension problem (h, f: dom h -> x) with
+its ``left_kan`` answer, and ``_unpreserved`` is the one preservation
+check over such a table; the map verdicts, ``preserves_kan``, the
+saturation closure checks and ``kz_laws`` all run it.
+
+``is_injective`` and ``is_weakly_injective`` share one scan and one
+adjoint cross-check, decide from scratch every time and return the
+evidence.  The ``is_injective`` report, without its witnesses, is kept
+once per (poset, class maps, effective cap) in a bounded cache:
+``verdict`` returns its verdict string, so a caller that only needs to
+know whether a target is strong, such as ``extend_along_unit`` on every
+call, pays for the scan and its cross-check once, and
+``is_injective_map`` reads both endpoint reports from it.  A report
+whose cross-check disagrees with its verdict raises
+``PostconditionFailed`` instead of being stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .cache import BoundedCache
 from .catalog import MapClass, all_posets
 from .colimits import cocomma
 from .config import effective_cap
-from .errors import SizeCapExceeded
+from .errors import NotInjectiveContext, PostconditionFailed, SizeCapExceeded
 from .hom import _restriction, hom_poset, left_kan
 from .poset import (
     MonotoneMap,
@@ -39,6 +50,7 @@ __all__ = [
     "is_weakly_injective",
     "is_injective",
     "is_injective_map",
+    "preserves_kan",
     "verdict",
     "mapping_cone",
     "cone_class",
@@ -96,27 +108,28 @@ class InjectivityReport:
         }
 
 
-def _scan(x: Poset, klass: MapClass, cap: Optional[int]):
-    """Run every extension problem (h in klass, f: dom(h) -> x) once."""
-    witnesses = []
-    failures = []
-    exists_per_h = []
-    strict_per_h = []
-    for hi, h in enumerate(klass):
-        all_exist = True
-        all_strict = True
-        for f in enumerate_monotone(h.dom, x, cap=cap):
-            res = left_kan(f, h, cap=cap)
-            witnesses.append((hi, f, res))
-            if not res.exists:
-                failures.append((hi, f, "no least extension"))
-                all_exist = False
-                all_strict = False
-            elif not res.strict:
-                all_strict = False
-        exists_per_h.append(all_exist)
-        strict_per_h.append(all_strict)
-    return tuple(witnesses), tuple(failures), exists_per_h, strict_per_h
+def _extensions(x: Poset, maps: Sequence, cap: Optional[int]) -> tuple:
+    """Every extension problem (h in maps, f: dom(h) -> x), in class and
+    enumeration order, as rows (h_index, f, left_kan(f, h))."""
+    return tuple(
+        (hi, f, left_kan(f, h, cap=cap))
+        for hi, h in enumerate(maps)
+        for f in enumerate_monotone(h.dom, x, cap=cap)
+    )
+
+
+def _all_strong(table: tuple) -> bool:
+    """Whether every extension in the table exists and restricts back."""
+    return all(res.exists and res.strict for _, _, res in table)
+
+
+def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int]):
+    """The problems (h_index, f) of a table into p.dom whose extension p
+    does not carry onto the extension of p∘f.  Every extension into both
+    endpoints must exist."""
+    for hi, f, res in table:
+        if res.extension.then(p) != left_kan(f.then(p), maps[hi], cap=cap).extension:
+            yield hi, f
 
 
 def _small_precompose(h: MonotoneMap, x: Poset) -> Optional[MonotoneMap]:
@@ -131,6 +144,36 @@ def _small_precompose(h: MonotoneMap, x: Poset) -> Optional[MonotoneMap]:
     return _restriction(h, hb, ha)
 
 
+def _decide(x: Poset, klass: MapClass, cap: Optional[int], strong: bool) -> InjectivityReport:
+    """The scan and cross-check behind both object verdicts.
+
+    With strong, x holds along h when every extension exists and is
+    strict, and the cross-check asks for the restriction map to be a
+    rali; without, existence is enough and the cross-check asks for a
+    left adjoint.
+    """
+    table = _extensions(x, klass.maps, cap)
+    failures = tuple((hi, f, "no least extension") for hi, f, res in table if not res.exists)
+    held = [True] * len(klass.maps)
+    for hi, _, res in table:
+        held[hi] = held[hi] and res.exists and (res.strict or not strong)
+    if failures:
+        verdict = "neither"
+    elif strong and all(held):
+        verdict = "strong"
+    else:
+        verdict = "weak"
+    cross = None
+    for hi, h in enumerate(klass.maps):
+        m = _small_precompose(h, x)
+        if m is None:
+            continue
+        adjoint = classify_adjoint(m).is_rali if strong else left_adjoint(m) is not None
+        agree = adjoint == held[hi]
+        cross = agree if cross is None else (cross and agree)
+    return InjectivityReport(_subject(x), verdict, table, failures, cross)
+
+
 def is_weakly_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
     """Weak verdict: every f has a least extension along every h.
 
@@ -138,16 +181,7 @@ def is_weakly_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) ->
     each restriction map hom(cod h, x) -> hom(dom h, x) has a left
     adjoint.
     """
-    witnesses, failures, exists_per_h, _ = _scan(x, klass, cap)
-    verdict = "weak" if not failures else "neither"
-    cross = None
-    for hi, h in enumerate(klass):
-        m = _small_precompose(h, x)
-        if m is None:
-            continue
-        agree = (left_adjoint(m) is not None) == exists_per_h[hi]
-        cross = agree if cross is None else (cross and agree)
-    return InjectivityReport(_subject(x), verdict, witnesses, failures, cross)
+    return _decide(x, klass, cap, strong=False)
 
 
 def is_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
@@ -157,32 +191,35 @@ def is_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> Inject
     Cross-checked, where feasible, against the adjoint characterization:
     strength along h is precisely the restriction map being a rali.
     """
-    witnesses, failures, exists_per_h, strict_per_h = _scan(x, klass, cap)
-    if failures:
-        verdict = "neither"
-    elif all(strict_per_h):
-        verdict = "strong"
-    else:
-        verdict = "weak"
-    cross = None
-    for hi, h in enumerate(klass):
-        m = _small_precompose(h, x)
-        if m is None:
-            continue
-        agree = classify_adjoint(m).is_rali == (exists_per_h[hi] and strict_per_h[hi])
-        cross = agree if cross is None else (cross and agree)
-    return InjectivityReport(_subject(x), verdict, witnesses, failures, cross)
+    return _decide(x, klass, cap, strong=True)
 
 
 _VERDICTS = BoundedCache()
 
 
+def _report(x: Poset, klass: MapClass, cap: Optional[int]) -> InjectivityReport:
+    """is_injective(x, klass, cap) without its witnesses, decided once per
+    (x, maps of klass, effective cap) and then read from a bounded cache.
+    A report whose cross-check disagrees raises PostconditionFailed, and
+    neither it nor a raised SizeCapExceeded is stored."""
+
+    def decide() -> InjectivityReport:
+        rep = is_injective(x, klass, cap=cap)
+        if rep.cross_check is False:
+            raise PostconditionFailed(
+                f"{rep.verdict} verdict on {rep.subject} disagrees with the adjoint cross-check"
+            )
+        return replace(rep, witnesses=())
+
+    key = (x.key, tuple(h.key() for h in klass.maps), effective_cap(cap))
+    return _VERDICTS.get(key, decide)
+
+
 def verdict(x: Poset, klass: MapClass, cap: Optional[int] = None) -> str:
     """is_injective(x, klass, cap).verdict, decided once per (x, maps of
-    klass, effective cap) and then read from a bounded cache.  Only the
-    string is kept; SizeCapExceeded is raised, never stored."""
-    key = (x.key, tuple(h.key() for h in klass.maps), effective_cap(cap))
-    return _VERDICTS.get(key, lambda: is_injective(x, klass, cap=cap).verdict)
+    klass, effective cap); PostconditionFailed when the adjoint
+    cross-check disagrees with it."""
+    return _report(x, klass, cap).verdict
 
 
 def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
@@ -190,26 +227,25 @@ def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None)
     and p sends each extension f/h to (p∘f)/h; weak when the endpoints
     are merely weak and p still preserves the extensions.
 
-    Endpoint failures are copied into the failure list with a side tag;
-    preservation is only evaluated when both endpoints are at least weak,
-    since the comparison needs both extensions to exist.
+    The endpoint reports come from the verdict cache, and their failures
+    are copied into the failure list with a side tag; preservation is
+    only evaluated when both endpoints are at least weak, since the
+    comparison needs both extensions to exist.
     """
-    dom_rep = is_injective(p.dom, klass, cap=cap)
-    cod_rep = is_injective(p.cod, klass, cap=cap)
-    witnesses = []
+    dom_rep = _report(p.dom, klass, cap)
+    cod_rep = _report(p.cod, klass, cap)
+    witnesses = ()
     failures = [
         (hi, f, "domain: " + reason) for hi, f, reason in dom_rep.failures
     ] + [
         (hi, f, "codomain: " + reason) for hi, f, reason in cod_rep.failures
     ]
     if dom_rep.weak and cod_rep.weak:
-        for hi, h in enumerate(klass):
-            for f in enumerate_monotone(h.dom, p.dom, cap=cap):
-                res = left_kan(f, h, cap=cap)
-                witnesses.append((hi, f, res))
-                pushed = left_kan(f.then(p), h, cap=cap)
-                if res.extension.then(p) != pushed.extension:
-                    failures.append((hi, f, "extension not preserved"))
+        witnesses = _extensions(p.dom, klass.maps, cap)
+        failures += [
+            (hi, f, "extension not preserved")
+            for hi, f in _unpreserved(p, klass.maps, witnesses, cap)
+        ]
     if failures:
         verdict = "neither"
     elif dom_rep.strong and cod_rep.strong:
@@ -219,7 +255,19 @@ def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None)
     crosses = [c for c in (dom_rep.cross_check, cod_rep.cross_check) if c is not None]
     cross = all(crosses) if crosses else None
     subject = _subject(p.dom) + "->" + _subject(p.cod)
-    return InjectivityReport(subject, verdict, tuple(witnesses), tuple(failures), cross)
+    return InjectivityReport(subject, verdict, witnesses, tuple(failures), cross)
+
+
+def preserves_kan(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> bool:
+    """Whether p sends the extension of f along h to the extension of p∘f,
+    for every f.  Both endpoints of p must be strongly injective along h;
+    NotInjectiveContext otherwise."""
+    table = _extensions(p.dom, (h,), cap)
+    if not _all_strong(table):
+        raise NotInjectiveContext("domain of p is not strongly Kan-injective")
+    if not _all_strong(_extensions(p.cod, (h,), cap)):
+        raise NotInjectiveContext("codomain of p is not strongly Kan-injective")
+    return not any(_unpreserved(p, (h,), table, cap))
 
 
 def mapping_cone(h: MonotoneMap):

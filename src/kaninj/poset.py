@@ -284,51 +284,6 @@ class Poset:
         rec([], 0, ())
         return (str(n) + "|" + ",".join(map(str, best))).encode()
 
-    def isomorphism_to(self, other: "Poset") -> Optional["MonotoneMap"]:
-        """An order isomorphism onto ``other``, or None."""
-        if self.n != other.n:
-            return None
-        if sorted(self._refined_signature) != sorted(other._refined_signature):
-            return None
-        n = self.n
-        mine, theirs = self._refined_signature, other._refined_signature
-        cands = [
-            [j for j in range(n) if theirs[j] == mine[i]]
-            for i in range(n)
-        ]
-        order = sorted(range(n), key=lambda i: len(cands[i]))
-        assign = [-1] * n
-        used = [False] * n
-
-        def rec(k: int) -> bool:
-            if k == n:
-                return True
-            i = order[k]
-            for j in cands[i]:
-                if used[j]:
-                    continue
-                ok = True
-                for i2 in order[:k]:
-                    j2 = assign[i2]
-                    if self.leq[i, i2] != other.leq[j, j2] or self.leq[i2, i] != other.leq[j2, j]:
-                        ok = False
-                        break
-                if ok:
-                    assign[i] = j
-                    used[j] = True
-                    if rec(k + 1):
-                        return True
-                    used[j] = False
-                    assign[i] = -1
-            return False
-
-        if not rec(0):
-            return None
-        return MonotoneMap(self, other, assign)
-
-    def is_isomorphic(self, other: "Poset") -> bool:
-        return self.isomorphism_to(other) is not None
-
 
 class MonotoneMap:
     """Order-preserving map between posets, stored as an index assignment."""

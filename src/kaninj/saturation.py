@@ -8,6 +8,11 @@ falsifies a witness against a finite sample of injectives.  A raw
 MonotoneMap is accepted wherever a witness is expected and treated as an
 assumed member of the base class.
 
+Strength along the produced map and preservation of its extensions are
+decided by ``injectivity``'s extension table and preservation check, the
+same ones behind the map verdicts; each sampled object's table is built
+once per check and shared by the maps out of it.
+
 The strong objects and strong maps of a (class, sample) pair are found
 once per effective size cap and kept in a bounded cache, so repeated
 closure checks against one sample share them; ``clear_caches()``
@@ -24,8 +29,7 @@ from .catalog import MapClass
 from .colimits import cocomma, pushout, wide_pushout
 from .config import effective_cap
 from .errors import DomainMismatch, NotLari, SquareDoesNotCommute
-from .hom import _preserves_all, strongly_injective
-from .injectivity import verdict
+from .injectivity import _all_strong, _extensions, _unpreserved, verdict
 from .poset import MonotoneMap, classify_adjoint, enumerate_monotone, right_adjoint
 
 __all__ = [
@@ -160,9 +164,10 @@ def _find_strong_part(klass: MapClass, sample: Sequence, cap: Optional[int]):
     strong = [x for x in sample if verdict(x, klass, cap=cap) == "strong"]
     maps = []
     for x in strong:
+        table = _extensions(x, klass.maps, cap)
         for y in strong:
             for p in enumerate_monotone(x, y, cap=cap):
-                if _preserves_all(p, klass.maps, cap):
+                if not any(_unpreserved(p, klass.maps, table, cap)):
                     maps.append(p)
     return strong, maps
 
@@ -171,18 +176,13 @@ def closure_failures(w, klass: MapClass, sample: Sequence, cap: Optional[int] = 
     """Counterexamples to the witness respecting the sample: strong
     objects that fail injectivity along the produced map, then (only if
     none) strong maps that fail to preserve extensions along it."""
-    produced = _as_witness(w).produced
+    along = (_as_witness(w).produced,)
     strong, maps = _strong_part(klass, sample, cap)
-    out = []
-    for x in strong:
-        if not strongly_injective(x, produced, cap=cap):
-            out.append(("object", x))
+    tables = {x.key: _extensions(x, along, cap) for x in strong}
+    out = [("object", x) for x in strong if not _all_strong(tables[x.key])]
     if out:
         return out
-    for p in maps:
-        if not _preserves_all(p, (produced,), cap):
-            out.append(("map", p))
-    return out
+    return [("map", p) for p in maps if any(_unpreserved(p, along, tables[p.dom.key], cap))]
 
 
 def closure_check(w, klass: MapClass, sample: Sequence, cap: Optional[int] = None) -> bool:

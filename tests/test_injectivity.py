@@ -1,8 +1,12 @@
+import dataclasses
+
 import pytest
 
 from kaninj import (
     MapClass,
     MonotoneMap,
+    NotInjectiveContext,
+    PostconditionFailed,
     SizeCapExceeded,
     all_posets,
     antichain,
@@ -22,6 +26,7 @@ from kaninj import (
     join_map,
     mapping_cone,
     point,
+    preserves_kan,
     reflect,
     standard_classes,
     strong_objects,
@@ -29,7 +34,7 @@ from kaninj import (
     vee,
     verdict,
 )
-from kaninj import cache
+from kaninj import cache, injectivity
 from kaninj.injectivity import _VERDICTS
 
 from oracles import brute_kan, brute_monotone, brute_preserves, brute_strong, brute_weak
@@ -73,24 +78,76 @@ def test_failures_carry_reasons():
 
 
 def test_map_verdicts_match_brute():
-    klass = class_join()
     shapes = [p for p in all_posets(3)]
-    for x in shapes:
-        for y in shapes:
-            for f in enumerate_monotone(x, y):
-                rep = is_injective_map(f, klass)
-                dw, cw = brute_weak(x, klass), brute_weak(y, klass)
-                ds, cs = brute_strong(x, klass), brute_strong(y, klass)
-                if not (dw and cw):
-                    assert rep.verdict == "neither"
-                    continue
-                pres = brute_preserves(tuple(f.assignment), x, y, klass)
-                if not pres:
-                    assert rep.verdict == "neither"
-                elif ds and cs:
-                    assert rep.verdict == "strong"
-                else:
-                    assert rep.verdict == "weak"
+    for klass in list(standard_classes()) + [collapse_class()]:
+        for x in shapes:
+            for y in shapes:
+                for f in enumerate_monotone(x, y):
+                    rep = is_injective_map(f, klass)
+                    dw, cw = brute_weak(x, klass), brute_weak(y, klass)
+                    ds, cs = brute_strong(x, klass), brute_strong(y, klass)
+                    if not (dw and cw):
+                        assert rep.verdict == "neither", (klass.name, f.assignment)
+                        continue
+                    pres = brute_preserves(tuple(f.assignment), x, y, klass)
+                    if not pres:
+                        assert rep.verdict == "neither", (klass.name, f.assignment)
+                    elif ds and cs:
+                        assert rep.verdict == "strong", (klass.name, f.assignment)
+                    else:
+                        assert rep.verdict == "weak", (klass.name, f.assignment)
+
+
+def test_preserves_kan_matches_brute():
+    checked = 0
+    for klass in standard_classes():
+        for h in klass.maps:
+            along = MapClass("h", (h,))
+            strong = [x for x in all_posets(3) if brute_strong(x, along)]
+            for x in strong:
+                for y in strong:
+                    for p in enumerate_monotone(x, y):
+                        want = brute_preserves(tuple(p.assignment), x, y, along)
+                        assert preserves_kan(p, h) == want, (klass.name, p.assignment)
+                        checked += 1
+    assert checked > 100
+
+
+def test_preserves_kan_names_the_weak_endpoint():
+    with pytest.raises(NotInjectiveContext, match="^domain"):
+        preserves_kan(MonotoneMap(antichain(2), point(), [0, 0]), join_map())
+    with pytest.raises(NotInjectiveContext, match="^codomain"):
+        preserves_kan(MonotoneMap(point(), antichain(2), [0]), join_map())
+
+
+def test_map_verdict_decides_each_endpoint_once(monkeypatch):
+    calls = []
+    decide = injectivity.is_injective
+
+    def counted(x, klass, cap=None):
+        calls.append(x.key)
+        return decide(x, klass, cap=cap)
+
+    monkeypatch.setattr(injectivity, "is_injective", counted)
+    clear_caches()
+    p = MonotoneMap(vee(), chain(2), [0, 1, 1])
+    for _ in range(2):
+        assert is_injective_map(p, class_join()).strong
+    assert sorted(calls) == sorted([vee().key, chain(2).key])
+
+
+def test_cached_verdict_raises_on_cross_check_disagreement(monkeypatch):
+    classify = injectivity.classify_adjoint
+
+    def flipped(m):
+        flags = classify(m)
+        return dataclasses.replace(flags, is_rali=not flags.is_rali)
+
+    monkeypatch.setattr(injectivity, "classify_adjoint", flipped)
+    clear_caches()
+    with pytest.raises(PostconditionFailed):
+        verdict(vee(), class_join())
+    assert not len(_VERDICTS)  # the disagreeing report is not stored
 
 
 def test_mapping_cone_shape_for_join():
