@@ -104,6 +104,15 @@ class ChainState:
             m = m.then(self.connectors[k])
         return m
 
+    def assignments_to(self, i: int) -> list:
+        """out[j] = assignment of x_{j,i} for every j <= i, built in one
+        backward pass over the connectors."""
+        out = [tuple(range(self.stages[i].n))]
+        for k in range(i - 1, -1, -1):
+            nxt = out[-1]
+            out.append(tuple(nxt[v] for v in self.connectors[k].assignment))
+        return out[::-1]
+
 
 @dataclass(frozen=True)
 class ReflectionResult:
@@ -158,10 +167,11 @@ def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> C
     if i % 2:
         raise ValueError("odd step must start from an even stage")
     xi = state.stages[i]
-    minted = set()
-    for rec in state.span_registry:
-        pf = rec.f.then(state.connector(rec.stage, i))
-        minted.add((rec.h_index, tuple(pf.assignment)))
+    to_top = state.assignments_to(i)
+    minted = {
+        (rec.h_index, tuple(to_top[rec.stage][v] for v in rec.f.assignment))
+        for rec in state.span_registry
+    }
     spans = []
     for hi, h in enumerate(klass):
         for f in enumerate_monotone(h.dom, xi, cap=cap):
@@ -223,24 +233,36 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     elements faster than single passes can retire them and the chain
     never stabilizes.  Each pass shrinks the stage or grows its order
     relation, so the loop terminates.
+
+    Every span's floor and witness are pushed into the odd stage once,
+    through the composites of ``ChainState.assignments_to``; a pass then
+    only applies the quotient map so far, a plain tuple.  The pairs a
+    span forces at b are the bits of ``sets[b]`` outside the up-set of
+    its witness value.
     """
     i1 = state.top
     if i1 % 2 == 0:
         raise ValueError("even step must start from an odd stage")
     x1 = state.stages[i1]
+    to_top = state.assignments_to(i1)
+    spans = [
+        (
+            klass.maps[rec.h_index],
+            tuple(to_top[rec.stage][v] for v in rec.f.assignment),
+            tuple(to_top[rec.stage + 1][v] for v in rec.coproj.assignment),
+        )
+        for rec in state.span_registry
+    ]
     cur = x1
-    conn = MonotoneMap.identity(x1)
+    conn = tuple(range(x1.n))
     realized = {}
     added_total = {}
     while True:
         pairs = set()
-        for si, rec in enumerate(state.span_registry):
-            h = klass.maps[rec.h_index]
-            floor = rec.f.then(state.connector(rec.stage, i1)).then(conn)
-            witness = rec.coproj.then(state.connector(rec.stage + 1, i1)).then(conn)
+        for si, (h, floor, witness) in enumerate(spans):
             lower: dict = {}
             for a in range(h.dom.n):
-                lower.setdefault(h.assignment[a], []).append(floor.assignment[a])
+                lower.setdefault(h.assignment[a], []).append(conn[floor[a]])
             sets = monotone_value_sets(h.cod, cur, lower=lower)
             if sets is None:
                 realized[si] = False
@@ -249,11 +271,11 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
             realized[si] = True
             added = 0
             for b in range(h.cod.n):
-                t = witness.assignment[b]
-                for v in _bits(sets[b]):
-                    if not cur.leq[t, v]:
-                        pairs.add((t, v))
-                        added += 1
+                t = conn[witness[b]]
+                new = sets[b] & ~cur.up_masks[t]
+                if new:
+                    pairs.update((t, v) for v in _bits(new))
+                    added += new.bit_count()
             added_total[si] = added_total.get(si, 0) + added
         if not pairs:
             break
@@ -263,14 +285,14 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
             ineq_pairs=[((0, t), (0, v)) for t, v in sorted(pairs)],
         )
         cur = res.object
-        conn = conn.then(res.injections[0])
+        conn = tuple(res.injections[0].assignment[v] for v in conn)
     gammas = tuple(
         GammaRecord(i1, si, realized.get(si, False), added_total.get(si, 0))
         for si in range(len(state.span_registry))
     )
     return ChainState(
         state.stages + (cur,),
-        state.connectors + (conn,),
+        state.connectors + (MonotoneMap(x1, cur, conn, validate=False),),
         state.span_registry,
         state.gamma_registry + gammas,
     )

@@ -7,15 +7,18 @@ Conventions used throughout the package:
   this library targets, keeping the closed matrix beats recomputing
   reachability.
 * A presentation (labels plus generating inequalities) becomes a poset
-  in one place, ``close_and_collapse``: close the relation, then merge
-  the classes of elements it forces equal.  ``build_poset`` and every
-  colimit go through it.
+  in one place, ``close_and_collapse``: merge the generators that a pair
+  given in both directions identifies, close the merged relation, then
+  merge the classes of elements it still forces equal.  ``build_poset``
+  and every colimit go through it.
 * Every boolean matrix product is taken in float64 (``_square``).  Path
   counts reach the number of elements, odd stages of the reflection
   chain reach several hundred, and 8-bit counts would wrap at 256 and
   drop pairs from a closure or add false cover pairs.
 * Monotone maps are total index assignments, validated against the cover
-  relation of the domain.
+  relation of the domain.  Up-sets, down-sets and value sets are plain
+  int bitmasks; value-set propagation and the adjoints work on those, not
+  on matrix entries.
 * Hom-sets are locally thin: a 2-cell between parallel maps exists exactly
   when the source is pointwise below the target, and carries no data.
   ``TwoCell`` therefore only records its boundary.
@@ -70,6 +73,12 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _row_masks(mat: np.ndarray) -> list:
+    """Row i of a boolean matrix as an int with bit j set iff mat[i, j]."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class Poset:
@@ -135,17 +144,11 @@ class Poset:
     def up_masks(self) -> list:
         """up_masks[i] = bitmask of {j : i <= j}, as plain ints so the
         bit tricks elsewhere never touch numpy scalars."""
-        return [
-            sum(1 << int(j) for j in np.flatnonzero(self.leq[i]))
-            for i in range(self.n)
-        ]
+        return _row_masks(self.leq)
 
     @cached_property
     def down_masks(self) -> list:
-        return [
-            sum(1 << int(j) for j in np.flatnonzero(self.leq[:, i]))
-            for i in range(self.n)
-        ]
+        return _row_masks(self.leq.T)
 
     @property
     def full_mask(self) -> int:
@@ -391,27 +394,47 @@ def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
     i lands on.  This is the only place a relation is closed and
     collapsed: every poset built from a presentation and every colimit
     comes from here.
+
+    Generators joined by a pair given in both directions are merged with
+    a union-find before any matrix is built, and only the merged relation
+    is closed; the closure then merges whatever longer cycles remain.
+    Identifications are stated as such pairs (the legs of a pushout, say),
+    so the closed matrix has one row per merged class, not per generator.
     """
     n = len(labels)
-    mat = np.eye(n, dtype=bool)
-    for a, b in index_pairs:
-        mat[a, b] = True
+    if n == 0:
+        return Poset([], np.zeros((0, 0), dtype=bool), validate=False), ()
+    pairs = set(index_pairs)
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        if a < b and (b, a) in pairs:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)
+    # node[i]: generator i's row in the merged matrix; rows follow the
+    # least generator of each merged class
+    roots, node = np.unique([find(i) for i in range(n)], return_inverse=True)
+    mat = np.eye(len(roots), dtype=bool)
+    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
+    mat[node[ends[:, 0]], node[ends[:, 1]]] = True
     closed = _closure(mat)
-    sym = closed & closed.T
-    comp = [-1] * n
-    classes = []
-    for i in range(n):
-        if comp[i] < 0:
-            members = [int(j) for j in np.flatnonzero(sym[i])]
-            for j in members:
-                comp[j] = len(classes)
-            classes.append(members)
-    class_labels = [min(labels[j] for j in cls) for cls in classes]
-    order = sorted(range(len(classes)), key=lambda c: class_labels[c])
+    # a class is named by its least row; cls_of[i] is generator i's class
+    cls_of = (closed & closed.T).argmax(axis=1)[node].tolist()
+    class_label: dict = {}
+    for lbl, c in zip(labels, cls_of):
+        if c not in class_label or lbl < class_label[c]:
+            class_label[c] = lbl
+    order = sorted(class_label, key=lambda c: (class_label[c], c))
     rank = {c: pos for pos, c in enumerate(order)}
-    reps = [classes[c][0] for c in order]
-    poset = Poset([class_labels[c] for c in order], closed[np.ix_(reps, reps)], validate=False)
-    return poset, tuple(rank[comp[i]] for i in range(n))
+    poset = Poset([class_label[c] for c in order], closed[np.ix_(order, order)], validate=False)
+    return poset, tuple(rank[c] for c in cls_of)
 
 
 def build_poset(labels: Iterable[str], pairs: Iterable) -> Poset:
@@ -531,16 +554,16 @@ def monotone_value_sets(
         return None
     cand = _lower_masks(a, x, lower)
 
-    def up_union(mask: int) -> int:
-        out = 0
-        for v in _bits(mask):
-            out |= x.up_masks[v]
-        return out
+    up, down = x.up_masks, x.down_masks
 
-    def down_union(mask: int) -> int:
+    # Union of masks[v] over the bits v of mask.  Up-sets and down-sets are
+    # transitive, so a bit the running union already covers adds nothing
+    # and is dropped.
+    def union(masks: list, mask: int) -> int:
         out = 0
-        for v in _bits(mask):
-            out |= x.down_masks[v]
+        while mask:
+            out |= masks[(mask & -mask).bit_length() - 1]
+            mask &= ~out
         return out
 
     pairs = a.cover_pairs
@@ -548,8 +571,8 @@ def monotone_value_sets(
     while changed:
         changed = False
         for i, j in pairs:
-            new_j = cand[j] & up_union(cand[i])
-            new_i = cand[i] & down_union(cand[j])
+            new_j = cand[j] & union(up, cand[i])
+            new_i = cand[i] & union(down, cand[j])
             if new_j != cand[j]:
                 cand[j] = new_j
                 changed = True
@@ -605,56 +628,53 @@ def monotone_value_sets(
 # -- adjoints ----------------------------------------------------------------
 
 
+def _fibers(m: MonotoneMap) -> list:
+    """fibers[v] = bitmask of the elements of dom(m) that m sends to v."""
+    out = [0] * m.cod.n
+    for i, v in enumerate(m.assignment):
+        out[v] |= 1 << i
+    return out
+
+
+def _preimage(fibers: list, mask: int) -> int:
+    """Bitmask of the elements sent into ``mask``, from their fibers."""
+    out = 0
+    for v in _bits(mask):
+        out |= fibers[v]
+    return out
+
+
 def right_adjoint(m: MonotoneMap) -> Optional[MonotoneMap]:
     """The right adjoint of ``m`` (so m ⊣ result), or None.
 
-    Pointwise: result(b) is the greatest a with m(a) <= b; existence for
-    every b plus the two adjunction inequalities are verified in full.
+    Pointwise: result(b) is the greatest a with m(a) <= b.  The preimage
+    of the down-set of b is a down-set, so when it has a greatest element
+    it is that element's down-set: m(a) <= b iff a <= result(b), which
+    is the adjunction and also makes the result monotone.
     """
     a, b = m.dom, m.cod
+    fibers = _fibers(m)
     assign = []
     for j in range(b.n):
-        mask = 0
-        for i in range(a.n):
-            if b.leq[m.assignment[i], j]:
-                mask |= 1 << i
-        g = a.greatest_of(mask) if mask else None
+        g = a.greatest_of(_preimage(fibers, b.down_masks[j]))
         if g is None:
             return None
         assign.append(g)
-    try:
-        r = MonotoneMap(b, a, assign)
-    except NotMonotone:
-        return None
-    for i in range(a.n):
-        for j in range(b.n):
-            if bool(b.leq[m.assignment[i], j]) != bool(a.leq[i, assign[j]]):
-                return None
-    return r
+    return MonotoneMap(b, a, assign, validate=False)
 
 
 def left_adjoint(m: MonotoneMap) -> Optional[MonotoneMap]:
-    """The left adjoint of ``m`` (so result ⊣ m), or None."""
+    """The left adjoint of ``m`` (so result ⊣ m), or None: result(b) is
+    the least element of the preimage of the up-set of b."""
     a, b = m.dom, m.cod
+    fibers = _fibers(m)
     assign = []
     for j in range(b.n):
-        mask = 0
-        for i in range(a.n):
-            if b.leq[j, m.assignment[i]]:
-                mask |= 1 << i
-        l = a.least_of(mask) if mask else None
+        l = a.least_of(_preimage(fibers, b.up_masks[j]))
         if l is None:
             return None
         assign.append(l)
-    try:
-        lmap = MonotoneMap(b, a, assign)
-    except NotMonotone:
-        return None
-    for i in range(a.n):
-        for j in range(b.n):
-            if bool(a.leq[assign[j], i]) != bool(b.leq[j, m.assignment[i]]):
-                return None
-    return lmap
+    return MonotoneMap(b, a, assign, validate=False)
 
 
 @dataclass(frozen=True)

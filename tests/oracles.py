@@ -176,3 +176,42 @@ def oracle_least_strict(dom, cod, pins):
             if dom.leq[i, j] and not cod.leq[t[i], t[j]]:
                 return None
     return tuple(t)
+
+
+def brute_close_and_collapse(labels, pairs):
+    """Closure and collapse of a presentation straight from the definition.
+
+    Warshall closure of the generating pairs, then the symmetric classes;
+    a class is named after its least label and elements are sorted by
+    name (ties by least generator).  Returns (names, leq rows, collapse).
+    """
+    n = len(labels)
+    r = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        r[a][b] = True
+    for k in range(n):
+        for i in range(n):
+            if r[i][k]:
+                for j in range(n):
+                    if r[k][j]:
+                        r[i][j] = True
+    first = [min(j for j in range(n) if r[i][j] and r[j][i]) for i in range(n)]
+    name = {c: min(labels[i] for i in range(n) if first[i] == c) for c in set(first)}
+    order = sorted(name, key=lambda c: (name[c], c))
+    pos = {c: k for k, c in enumerate(order)}
+    leq = [[r[a][b] for b in order] for a in order]
+    return [name[c] for c in order], leq, tuple(pos[first[i]] for i in range(n))
+
+
+def brute_adjoints(m):
+    """(right, left) adjoint assignments of m by scanning every monotone
+    map back, from the adjunction's definition; None where none exists."""
+    a, b = m.dom, m.cod
+    pairs = [(i, j) for i in range(a.n) for j in range(b.n)]
+    right = left = None
+    for r in brute_monotone(b, a):
+        if all(bool(b.leq[m.assignment[i], j]) == bool(a.leq[i, r[j]]) for i, j in pairs):
+            right = r
+        if all(bool(a.leq[r[j], i]) == bool(b.leq[j, m.assignment[i]]) for i, j in pairs):
+            left = r
+    return right, left

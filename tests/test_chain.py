@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from kaninj import (
     is_dense,
     is_injective,
     kz_laws,
+    poset_to_json,
     reflect,
     step_even,
     step_odd,
@@ -213,3 +216,44 @@ def test_postconditions_survive_optimize():
         "reflect: reflection unit is not dense",
         "extend: span at stage 0 has no strict extension into the target",
     ]
+
+
+# sha256 of the whole chain of reflect(antichain(4), class): its odd
+# stages reach 94-151 elements, beyond the <=4-element corpus the golden
+# trace covers.  Recorded with an engine that closed every generator and
+# composed connectors record by record, so the pins hold the faster
+# engine to the same stages, connectors, spans and gamma records.
+WIDE_DIGESTS = {
+    "join": "556ed29b27c2729d26e464bb244fee79b8128dc3601b7bc565602301c7ead88d",
+    "bot+join": "1f04c3b2a24361f57bebca3326eba17b3256f8486242a1ae89bb954ceac66b86",
+}
+
+
+def chain_digest(r) -> str:
+    t = r.trace
+    doc = {
+        "converged": r.converged,
+        "stages_used": r.stages_used,
+        "stages": [poset_to_json(s) for s in t.stages],
+        "connectors": [list(c.assignment) for c in t.connectors],
+        "spans": [
+            [s.stage, s.h_index, list(s.f.assignment), list(s.coproj.assignment), s.strict_square]
+            for s in t.span_registry
+        ],
+        "gammas": [[g.stage, g.span_index, g.realized, g.pairs] for g in t.gamma_registry],
+        "unit": list(r.unit.assignment),
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("klass", [class_join(), class_bottom_join()], ids=lambda k: k.name)
+def test_wide_chain_digest(klass):
+    r = reflect(antichain(4), klass)
+    assert chain_digest(r) == WIDE_DIGESTS[klass.name]
+    # the one-pass composites agree with composing connector by connector
+    state = r.trace
+    for i in range(state.top + 1):
+        composites = state.assignments_to(i)
+        assert len(composites) == i + 1
+        for j in range(i + 1):
+            assert composites[j] == state.connector(j, i).assignment, (j, i)

@@ -1,5 +1,9 @@
+import functools
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kaninj import (
     MonotoneMap,
@@ -18,9 +22,17 @@ from kaninj import (
     vee,
 )
 from kaninj.errors import CycleDetected, NotMonotone, NotParallel
-from kaninj.poset import TwoCell, iter_monotone_assignments, monotone_value_sets
+from kaninj.poset import (
+    TwoCell,
+    classify_adjoint,
+    close_and_collapse,
+    iter_monotone_assignments,
+    left_adjoint,
+    monotone_value_sets,
+    right_adjoint,
+)
 
-from oracles import brute_monotone
+from oracles import brute_adjoints, brute_close_and_collapse, brute_monotone
 
 
 def test_catalog_axioms():
@@ -50,6 +62,55 @@ def test_validate_rejects_cycle():
 def test_build_poset_cycle_message():
     with pytest.raises(CycleDetected, match=r"^labels 'a' and 'b' are forced equal$"):
         build_poset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+@st.composite
+def presentations(draw):
+    """Labels out of index order, with random pairs plus mutual pairs, a
+    longer cycle and repeated pairs mixed in."""
+    n = draw(st.integers(0, 9))
+    labels = draw(st.permutations([f"g{k}" for k in range(n)]))
+    if n == 0:
+        return labels, []
+    idx = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(idx, idx), max_size=2 * n))
+    for a, b in draw(st.lists(st.tuples(idx, idx), max_size=n)):
+        pairs += [(a, b), (b, a)]
+    cycle = draw(st.lists(idx, max_size=4))
+    pairs += list(zip(cycle, cycle[1:] + cycle[:1]))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return labels, draw(st.permutations(pairs))
+
+
+def oracle_poset(names, leq) -> Poset:
+    return Poset(names, np.array(leq, dtype=bool).reshape(len(names), len(names)), validate=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(presentations())
+def test_close_and_collapse_matches_oracle(pres):
+    labels, pairs = pres
+    got, collapse = close_and_collapse(labels, pairs)
+    names, leq, want = brute_close_and_collapse(labels, pairs)
+    assert got.key == oracle_poset(names, leq).key
+    assert collapse == want
+    # build_poset sorts the labels first and names the two least labels
+    # of the first class that collapses
+    elements = sorted(labels)
+    at = {lbl: k for k, lbl in enumerate(elements)}
+    sorted_pairs = [(at[labels[a]], at[labels[b]]) for a, b in pairs]
+    names, leq, cls = brute_close_and_collapse(elements, sorted_pairs)
+    label_pairs = [(labels[a], labels[b]) for a, b in pairs]
+    merged = [i for i in range(len(cls)) if cls.count(cls[i]) > 1]
+    if not merged:
+        assert build_poset(labels, label_pairs).key == oracle_poset(names, leq).key
+        return
+    i = merged[0]
+    j = cls.index(cls[i], i + 1)
+    with pytest.raises(CycleDetected) as err:
+        build_poset(labels, label_pairs)
+    assert str(err.value) == f"labels {elements[i]!r} and {elements[j]!r} are forced equal"
 
 
 def wide_diamond(k: int):
@@ -126,6 +187,57 @@ def test_monotone_value_sets_respects_lower():
     sets = monotone_value_sets(a, x, lower={0: [2]})
     assert sets[0] == 1 << 2
     assert sets[1] == 1 << 2
+
+
+def test_monotone_value_sets_match_enumeration():
+    # the union, per element, of every monotone map's value; non-forest
+    # domains such as the diamond go through the certified search
+    rng = random.Random(7)
+    shapes = all_posets(4)
+    assert any(not a.cover_forest for a in shapes)
+    for a in shapes:
+        for x in shapes:
+            for trial in range(3):
+                lower = {}
+                if trial and x.n:
+                    for i in range(a.n):
+                        if rng.random() < 0.5:
+                            lower[i] = rng.sample(range(x.n), rng.randint(1, min(2, x.n)))
+                maps = list(iter_monotone_assignments(a, x, lower=lower))
+                sets = monotone_value_sets(a, x, lower=lower)
+                if not maps:
+                    assert sets is None, (a.elements, x.elements, lower)
+                    continue
+                want = [
+                    functools.reduce(lambda acc, m: acc | 1 << m[i], maps, 0)
+                    for i in range(a.n)
+                ]
+                assert sets == want, (a.elements, x.elements, lower)
+
+
+def then(f, g):
+    """Assignment of g after f, or None when either is missing."""
+    return None if f is None or g is None else tuple(g[v] for v in f)
+
+
+def test_adjoints_match_definition():
+    shapes = all_posets(3)
+    checked = 0
+    for x in shapes:
+        for y in shapes:
+            for m in enumerate_monotone(x, y):
+                right, left = brute_adjoints(m)
+                r, t = right_adjoint(m), left_adjoint(m)
+                assert (r and r.assignment) == right, m.assignment
+                assert (t and t.assignment) == left, m.assignment
+                ida, idb = tuple(range(x.n)), tuple(range(y.n))
+                flags = classify_adjoint(m)
+                assert flags.is_lari == (then(m.assignment, right) == ida)
+                assert flags.is_lali == (then(right, m.assignment) == idb)
+                assert flags.is_rali == (then(left, m.assignment) == idb)
+                assert flags.is_rari == (then(m.assignment, left) == ida)
+                checked += 1
+    assert checked == 485
 
 
 def test_monotone_value_sets_infeasible():
