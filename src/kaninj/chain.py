@@ -29,6 +29,7 @@ from .errors import (
     DomainMismatch,
     NotConverged,
     NotInjectiveTarget,
+    NotMonotone,
     PostconditionFailed,
     QuotientViolation,
     SquareDoesNotCommute,
@@ -121,7 +122,9 @@ class ReflectionResult:
     When converged, reflected = X_i for the first even i with x_{i,i+2}
     an isomorphism, unit = x_{0,i}, and stages_used = i.  When not,
     reflected/unit describe the colimit of the computed prefix (the
-    omega stage) and omega holds its full colimit presentation.
+    omega stage) and omega holds its full colimit presentation.  plans
+    holds the extension plans of extend_along_unit, one per class,
+    built on first use.
     """
 
     reflected: Poset
@@ -130,6 +133,7 @@ class ReflectionResult:
     stages_used: int
     trace: ChainState
     omega: Optional[ColimitResult] = field(default=None, compare=False)
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def init_chain(x: Poset) -> ChainState:
@@ -332,6 +336,91 @@ def reflect(
     )
 
 
+def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
+    """The plan extend_along_unit walks for this reflection and class,
+    built on first use and kept on the result under the class's map keys.
+
+    One entry per stage i < stages_used: (X_{i+1}, its cover pairs, the
+    connector's assignment, the spans recorded at stage i).  A span
+    is (record, h, f's assignment, the coprojection's assignment, below),
+    where below[b] lists the a in dom(h) with h(a) <= b.  DomainMismatch
+    when a span's map is not in the class, or is not the map the span
+    was recorded for: the class does not match the reflection.
+    """
+    key = tuple(h.key() for h in klass.maps)
+    plan = result.plans.get(key)
+    if plan is not None:
+        return plan
+    state = result.trace
+    spans_at: dict = {}
+    for rec in state.span_registry:
+        if rec.stage >= result.stages_used:
+            continue
+        if rec.h_index >= len(klass.maps):
+            raise DomainMismatch(
+                f"class {klass.name} does not match the reflection: it has no map {rec.h_index}"
+            )
+        h = klass.maps[rec.h_index]
+        if h.dom.key != rec.f.dom.key or h.cod.key != rec.coproj.dom.key:
+            raise DomainMismatch(
+                f"class {klass.name} does not match the reflection: "
+                f"its map {rec.h_index} is not the one the span at stage {rec.stage} used"
+            )
+        below = tuple(
+            tuple(a for a in range(h.dom.n) if h.cod.leq[h.assignment[a], b])
+            for b in range(h.cod.n)
+        )
+        spans_at.setdefault(rec.stage, []).append(
+            (rec, h, rec.f.assignment, rec.coproj.assignment, below)
+        )
+    plan = tuple(
+        (
+            state.stages[i + 1],
+            state.stages[i + 1].cover_pairs,
+            state.connectors[i].assignment,
+            tuple(spans_at.get(i, ())),
+        )
+        for i in range(result.stages_used)
+    )
+    result.plans[key] = plan
+    return plan
+
+
+def _span_join(target: Poset, vals: list, below: tuple) -> Optional[list]:
+    """The pointwise least extension of a span's leg along its h, where
+    vals[a] is the leg's value at a in dom(h): at each b of cod(h), the
+    join in target of vals[a] over the a in below[b].  None when one of
+    those joins does not exist (left_kan's pointwise route, on plain
+    tuples)."""
+    up = target.up_masks
+    out = []
+    for under in below:
+        if len(under) == 1:
+            out.append(vals[under[0]])
+            continue
+        mask = target.full_mask
+        for a in under:
+            mask &= up[vals[a]]
+        j = target.least_of(mask)
+        if j is None:
+            return None
+        out.append(j)
+    return out
+
+
+def _put(values: list, at: tuple, vals, i: int, nxt: Poset) -> None:
+    """values[at[k]] = vals[k] for every k; QuotientViolation when an
+    element of stage i + 1 is given two different values."""
+    for w, v in zip(at, vals):
+        old = values[w]
+        if old is None:
+            values[w] = v
+        elif old != v:
+            raise QuotientViolation(
+                f"stage {i + 1} element {nxt.elements[w]} received two values"
+            )
+
+
 def extend_along_unit(
     p: MonotoneMap,
     result: ReflectionResult,
@@ -346,10 +435,19 @@ def extend_along_unit(
     the least extensions (p_i∘f)/h; even stages are quotients, so the
     previous values must be constant on classes.  QuotientViolation
     signals a value clash across a quotient and means a bug: the
-    construction guarantees well-definedness.  The result is the least
-    extension of p along the unit and restricts back to p exactly (both
-    checked against the direct Kan computation; PostconditionFailed
-    otherwise).
+    construction guarantees well-definedness.
+
+    The stages, connectors and spans are walked through an extension
+    plan built once per reflection and class (``_extension_plan``) and
+    kept on the result, so a call works on plain tuples.  Each witness
+    value is the join in P of the values below it (``_span_join``);
+    only when such a join is missing does a span fall back to
+    ``left_kan``.  Each span's extension must restrict back to p_i∘f
+    exactly and each stage map must be monotone (NotMonotone
+    otherwise).  The result is the least extension of p along the unit
+    and restricts back to p exactly (both checked against the direct
+    Kan computation; PostconditionFailed otherwise).  DomainMismatch
+    when the class is not the one the reflection was built for.
     """
     if not result.converged:
         raise NotConverged("cannot extend along a unit that never stabilized")
@@ -359,42 +457,45 @@ def extend_along_unit(
     if verdict(p.cod, klass, cap=cap) != "strong":
         raise NotInjectiveTarget("extension target is not strongly Kan-injective")
 
-    cur = p
-    for i in range(result.stages_used):
-        nxt = state.stages[i + 1]
-        conn = state.connectors[i]
-        values: dict = {}
-
-        def put(w: int, v: int) -> None:
-            if values.setdefault(w, v) != v:
-                raise QuotientViolation(
-                    f"stage {i + 1} element {nxt.elements[w]} received two values"
+    target = p.cod
+    up = target.up_masks
+    cur = p.assignment
+    for i, (nxt, cover_pairs, conn, spans) in enumerate(_extension_plan(result, klass)):
+        values = [None] * nxt.n
+        _put(values, conn, cur, i, nxt)
+        stage_map = None
+        for rec, h, f, coproj, below in spans:
+            vals = [cur[a] for a in f]
+            ext = _span_join(target, vals, below)
+            if ext is None:
+                if stage_map is None:
+                    stage_map = MonotoneMap(state.stages[i], target, cur)
+                kan = left_kan(rec.f.then(stage_map), h, cap=cap)
+                ext = kan.extension.assignment if kan.exists and kan.strict else None
+            elif [ext[b] for b in h.assignment] != vals:
+                ext = None
+            if ext is None:
+                raise PostconditionFailed(
+                    f"span at stage {i} has no strict extension into the target"
                 )
-
-        for z in range(state.stages[i].n):
-            put(conn.assignment[z], cur.assignment[z])
-        if i % 2 == 0:
-            for rec in state.span_registry:
-                if rec.stage != i:
-                    continue
-                h = klass.maps[rec.h_index]
-                ext = left_kan(rec.f.then(cur), h, cap=cap)
-                if not (ext.exists and ext.strict):
-                    raise PostconditionFailed(
-                        f"span at stage {i} has no strict extension into the target"
-                    )
-                for b in range(h.cod.n):
-                    put(rec.coproj.assignment[b], ext.extension.assignment[b])
-        if len(values) != nxt.n:
-            raise QuotientViolation(f"stage {i + 1} left {nxt.n - len(values)} elements unset")
-        cur = MonotoneMap(nxt, p.cod, [values[w] for w in range(nxt.n)])
+            _put(values, coproj, ext, i, nxt)
+        if None in values:
+            unset = values.count(None)
+            raise QuotientViolation(f"stage {i + 1} left {unset} elements unset")
+        for a, b in cover_pairs:
+            if not up[values[a]] >> values[b] & 1:
+                raise NotMonotone(
+                    f"map is not monotone on {nxt.elements[a]} <= {nxt.elements[b]}"
+                )
+        cur = values
+    ext_map = MonotoneMap(result.reflected, target, cur)
 
     direct = left_kan(p, result.unit, cap=cap)
-    if not (direct.exists and direct.strict and cur == direct.extension):
+    if not (direct.exists and direct.strict and ext_map == direct.extension):
         raise PostconditionFailed("stagewise extension is not the least extension")
-    if result.unit.then(cur) != p:
+    if result.unit.then(ext_map) != p:
         raise PostconditionFailed("extension does not restrict back to p")
-    return cur
+    return ext_map
 
 
 @dataclass(frozen=True)

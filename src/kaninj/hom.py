@@ -126,9 +126,10 @@ def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanRe
         raise DomainMismatch("left_kan needs f and h with a common domain")
     apr, x = h.cod, f.cod
 
+    ups = [apr.up_masks[v] for v in h.assignment]
     assign = []
     for ap in range(apr.n):
-        vals = [f.assignment[a] for a in range(h.dom.n) if apr.leq[h.assignment[a], ap]]
+        vals = [fa for fa, up in zip(f.assignment, ups) if up >> ap & 1]
         j = x.join_of(vals)
         if j is None:
             assign = None

@@ -8,7 +8,9 @@ import sys
 import pytest
 
 from kaninj import (
+    DomainMismatch,
     MonotoneMap,
+    all_posets,
     antichain,
     build_poset,
     chain,
@@ -21,8 +23,12 @@ from kaninj import (
     is_dense,
     is_injective,
     kz_laws,
+    dumps,
+    map_to_json,
+    point,
     poset_to_json,
     reflect,
+    standard_classes,
     step_even,
     step_odd,
     strong_objects,
@@ -137,6 +143,49 @@ def test_extend_along_unit_matches_oracle_slice():
             assert res.unit.then(got) == p
 
 
+@pytest.mark.parametrize(
+    "built, used",
+    [
+        (class_bottom_join(), class_join()),
+        (class_join(), class_bottom()),
+        (class_bottom_join(), class_bottom()),
+    ],
+    ids=lambda k: k.name,
+)
+def test_extend_with_another_class_is_a_domain_mismatch(built, used):
+    x = antichain(2)
+    r = reflect(x, built)
+    p = MonotoneMap(x, point(), [0, 0])
+    with pytest.raises(DomainMismatch, match="does not match the reflection"):
+        extend_along_unit(p, r, used)
+
+
+def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
+    # No shipped class ever misses a join, so force every span onto the
+    # left_kan fallback and compare the extensions byte for byte.
+    cases = []
+    for klass in standard_classes():
+        targets = strong_objects(4, klass)
+        for x in all_posets(3):
+            r = reflect(x, klass)
+            for tgt in targets:
+                cases.extend((p, r, klass) for p in enumerate_monotone(x, tgt))
+
+    def run():
+        return [dumps(map_to_json(extend_along_unit(p, r, k))) for p, r, k in cases]
+
+    joined = run()
+    misses = []
+
+    def missing(target, vals, below):
+        misses.append(vals)
+        return None
+
+    monkeypatch.setattr(sys.modules["kaninj.chain"], "_span_join", missing)
+    assert run() == joined
+    assert misses
+
+
 def test_kz_laws_on_goldens():
     for x, klass in [
         (chain(2), class_bottom()),
@@ -182,7 +231,6 @@ _FORCED_FAILURES = """
 import sys
 import kaninj
 from kaninj import MonotoneMap, PostconditionFailed, antichain, class_join, reflect
-from kaninj.hom import KanResult
 
 chain_mod = sys.modules["kaninj.chain"]
 print("optimize", sys.flags.optimize)
@@ -195,8 +243,7 @@ except PostconditionFailed as exc:
     print("reflect:", exc)
 chain_mod.is_dense = kaninj.is_dense
 
-real_kan = chain_mod.left_kan
-chain_mod.left_kan = lambda f, h, cap=None: KanResult(True, real_kan(f, h).extension, False, "forced")
+chain_mod._span_join = lambda target, vals, below: [target.n - 1] * len(below)
 try:
     chain_mod.extend_along_unit(r.unit, r, class_join())
 except PostconditionFailed as exc:
