@@ -463,13 +463,11 @@ def extend_along_unit(
     for i, (nxt, cover_pairs, conn, spans) in enumerate(_extension_plan(result, klass)):
         values = [None] * nxt.n
         _put(values, conn, cur, i, nxt)
-        stage_map = None
         for rec, h, f, coproj, below in spans:
             vals = [cur[a] for a in f]
             ext = _span_join(target, vals, below)
             if ext is None:
-                if stage_map is None:
-                    stage_map = MonotoneMap(state.stages[i], target, cur)
+                stage_map = MonotoneMap(state.stages[i], target, cur)
                 kan = left_kan(rec.f.then(stage_map), h, cap=cap)
                 ext = kan.extension.assignment if kan.exists and kan.strict else None
             elif [ext[b] for b in h.assignment] != vals:

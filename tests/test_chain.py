@@ -17,13 +17,13 @@ from kaninj import (
     class_bottom,
     class_bottom_join,
     class_join,
+    dumps,
     enumerate_monotone,
     extend_along_unit,
     init_chain,
     is_dense,
     is_injective,
     kz_laws,
-    dumps,
     map_to_json,
     point,
     poset_to_json,
