@@ -36,7 +36,7 @@ from .errors import (
 )
 from .hom import is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
-from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, monotone_value_sets
+from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, value_sets_at
 
 __all__ = [
     "SpanRecord",
@@ -225,10 +225,20 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     cod(h) with x_{j,top}∘f <= g∘h, the span's witness must fall below g:
     insert (x_{j+1,top}∘(f//h))(b) <= g(b) for every b.  The union of
     those pairs over all g is, coordinatewise, {witness(b)} x {values
-    some admissible g takes at b}, so the admissible-value sets are
-    computed once per span instead of enumerating every g.  The
-    coequifier half contributes nothing: parallel 2-cells between
-    monotone maps coincide.
+    some admissible g takes at b}, so value sets are computed once per
+    span instead of enumerating every g.  The coequifier half
+    contributes nothing: parallel 2-cells between monotone maps coincide.
+
+    Only the points of cod(h) outside h's image can force a pair.  The
+    pushout square of every span commutes exactly (step_odd checks it),
+    so at b = h(a) the witness value is the floor value f(a), pushed
+    forward; every admissible g has g(b) above it, and the set at b lies
+    inside the up-set of the witness.  So per span the pass computes
+    only whether an admissible g exists and the exact value set at each
+    point outside the image (``poset.value_sets_at``).  The premise is
+    checked on entry: SquareDoesNotCommute when some span's witness at
+    h(a) is not its floor at a.  ``cap`` bounds the value-set search
+    of a cod(h) whose cover graph is not a forest.
 
     Quotienting can make further maps admissible (merging two witnesses
     creates upper bounds that did not exist before), so the constraint
@@ -241,53 +251,61 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     Every span's floor and witness are pushed into the odd stage once,
     through the composites of ``ChainState.assignments_to``; a pass then
     only applies the quotient map so far, a plain tuple.  The pairs a
-    span forces at b are the bits of ``sets[b]`` outside the up-set of
-    its witness value.
+    span forces at b are the bits of its set at b outside the up-set of
+    its witness value; a pass collects them as one bitmask per witness
+    value t and hands them to the quotient in ascending (t, v) order.
     """
     i1 = state.top
     if i1 % 2 == 0:
         raise ValueError("even step must start from an odd stage")
     x1 = state.stages[i1]
     to_top = state.assignments_to(i1)
+    outside = [
+        tuple(b for b in range(h.cod.n) if b not in h.assignment) for h in klass.maps
+    ]
     spans = [
         (
             klass.maps[rec.h_index],
+            outside[rec.h_index],
             tuple(to_top[rec.stage][v] for v in rec.f.assignment),
             tuple(to_top[rec.stage + 1][v] for v in rec.coproj.assignment),
         )
         for rec in state.span_registry
     ]
+    for si, (h, _, floor, witness) in enumerate(spans):
+        if any(witness[b] != floor[a] for a, b in enumerate(h.assignment)):
+            raise SquareDoesNotCommute(
+                f"span {si}: its witness differs from its floor on the image of h"
+            )
     cur = x1
     conn = tuple(range(x1.n))
     realized = {}
     added_total = {}
     while True:
-        pairs = set()
-        for si, (h, floor, witness) in enumerate(spans):
+        forced = [0] * cur.n
+        up = cur.up_masks
+        for si, (h, points, floor, witness) in enumerate(spans):
             lower: dict = {}
             for a in range(h.dom.n):
                 lower.setdefault(h.assignment[a], []).append(conn[floor[a]])
-            sets = monotone_value_sets(h.cod, cur, lower=lower)
+            sets = value_sets_at(h.cod, cur, points, lower=lower, cap=cap)
             if sets is None:
                 realized[si] = False
                 added_total.setdefault(si, 0)
                 continue
             realized[si] = True
             added = 0
-            for b in range(h.cod.n):
+            for b, m in sets.items():
                 t = conn[witness[b]]
-                new = sets[b] & ~cur.up_masks[t]
+                new = m & ~up[t]
                 if new:
-                    pairs.update((t, v) for v in _bits(new))
+                    forced[t] |= new
                     added += new.bit_count()
             added_total[si] = added_total.get(si, 0) + added
+        pairs = [((0, t), (0, v)) for t, m in enumerate(forced) if m for v in _bits(m)]
         if not pairs:
             break
-        res = glue(
-            "coequinserter",
-            [("q", cur)],
-            ineq_pairs=[((0, t), (0, v)) for t, v in sorted(pairs)],
-        )
+        res = glue("coequinserter", [("q", cur)], ineq_pairs=pairs)
         cur = res.object
         conn = tuple(res.injections[0].assignment[v] for v in conn)
     gammas = tuple(

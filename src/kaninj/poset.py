@@ -29,6 +29,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -189,6 +190,31 @@ class Poset:
                 return False
             parent[ri] = rj
         return True
+
+    @cached_property
+    def cover_trees(self) -> tuple:
+        """trees[r] = (members, arcs) for r's component of the cover
+        graph: members as a bitmask, arcs as (child, parent, child_below)
+        with the parent one step nearer r.  Arcs are listed leaves first,
+        so each arc into a node comes before the arc out of it.  Meant
+        for a forest cover graph (``cover_forest``)."""
+        nbrs = [[] for _ in range(self.n)]
+        for i, j in self.cover_pairs:
+            nbrs[i].append((j, False))
+            nbrs[j].append((i, True))
+        out = []
+        for r in range(self.n):
+            members = 1 << r
+            arcs = []
+            queue = [r]
+            for p in queue:
+                for c, below in nbrs[p]:
+                    if not members >> c & 1:
+                        members |= 1 << c
+                        arcs.append((c, p, below))
+                        queue.append(c)
+            out.append((members, tuple(reversed(arcs))))
+        return tuple(out)
 
     @cached_property
     def topo_order(self) -> tuple:
@@ -395,16 +421,24 @@ def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
     collapsed: every poset built from a presentation and every colimit
     comes from here.
 
-    Generators joined by a pair given in both directions are merged with
-    a union-find before any matrix is built, and only the merged relation
-    is closed; the closure then merges whatever longer cycles remain.
-    Identifications are stated as such pairs (the legs of a pushout, say),
-    so the closed matrix has one row per merged class, not per generator.
+    The pairs are read once into an (m, 2) index array.  Generators
+    joined by a pair given in both directions are found on that array
+    and merged with a union-find before any matrix is built, and only
+    the merged relation is closed; the closure then merges whatever
+    longer cycles remain.  Identifications are stated as such pairs (the
+    legs of a pushout, say), so the closed matrix has one row per merged
+    class, not per generator.  Repeated pairs are harmless.
     """
     n = len(labels)
     if n == 0:
         return Poset([], np.zeros((0, 0), dtype=bool), validate=False), ()
-    pairs = set(index_pairs)
+    ends = np.fromiter(itertools.chain.from_iterable(index_pairs), dtype=np.intp).reshape(-1, 2)
+    src, dst = ends[:, 0], ends[:, 1]
+    # (a, b) with a < b is mutual when (b, a) is among the sorted pair keys
+    keys = np.sort(src * n + dst)
+    back = dst * n + src
+    found = keys[np.searchsorted(keys, back).clip(max=len(keys) - 1)] == back
+    mutual = (src < dst) & found
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -413,17 +447,15 @@ def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
             x = root[x]
         return x
 
-    for a, b in pairs:
-        if a < b and (b, a) in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                root[max(ra, rb)] = min(ra, rb)
+    for a, b in ends[mutual].tolist():
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[max(ra, rb)] = min(ra, rb)
     # node[i]: generator i's row in the merged matrix; rows follow the
     # least generator of each merged class
     roots, node = np.unique([find(i) for i in range(n)], return_inverse=True)
     mat = np.eye(len(roots), dtype=bool)
-    ends = np.array(list(pairs), dtype=np.intp).reshape(-1, 2)
-    mat[node[ends[:, 0]], node[ends[:, 1]]] = True
+    mat[node[src], node[dst]] = True
     closed = _closure(mat)
     # a class is named by its least row; cls_of[i] is generator i's class
     cls_of = (closed & closed.T).argmax(axis=1)[node].tolist()
@@ -535,17 +567,31 @@ def enumerate_monotone(
     return [MonotoneMap(a, x, t, validate=False) for t in out]
 
 
+def _union(masks: list, mask: int) -> int:
+    """Union of masks[v] over the bits v of mask, for masks that are the
+    up-sets or the down-sets of a poset.  Those are transitive, so a bit
+    the running union already covers adds nothing and is dropped."""
+    out = 0
+    while mask:
+        out |= masks[(mask & -mask).bit_length() - 1]
+        mask &= ~out
+    return out
+
+
 def monotone_value_sets(
     a: Poset,
     x: Poset,
     lower: Optional[Mapping[int, Iterable[int]]] = None,
+    cap: Optional[int] = None,
 ) -> Optional[list]:
     """For each element of ``a``, the bitmask of values that some monotone
     map a -> x (respecting ``lower``) takes there; None when no map exists.
 
     Arc consistency over the cover constraints, which is exact when the
     cover graph is a forest; otherwise each surviving value is certified by
-    an explicit extension search.
+    an explicit extension search.  The certification searches of one call
+    share one budget of ``cap`` visited nodes (the configured size cap when
+    None) and raise SizeCapExceeded when it runs out.
     """
     n = a.n
     if n == 0:
@@ -553,26 +599,14 @@ def monotone_value_sets(
     if x.n == 0:
         return None
     cand = _lower_masks(a, x, lower)
-
     up, down = x.up_masks, x.down_masks
-
-    # Union of masks[v] over the bits v of mask.  Up-sets and down-sets are
-    # transitive, so a bit the running union already covers adds nothing
-    # and is dropped.
-    def union(masks: list, mask: int) -> int:
-        out = 0
-        while mask:
-            out |= masks[(mask & -mask).bit_length() - 1]
-            mask &= ~out
-        return out
-
     pairs = a.cover_pairs
     changed = True
     while changed:
         changed = False
         for i, j in pairs:
-            new_j = cand[j] & union(up, cand[i])
-            new_i = cand[i] & union(down, cand[j])
+            new_j = cand[j] & _union(up, cand[i])
+            new_i = cand[i] & _union(down, cand[j])
             if new_j != cand[j]:
                 cand[j] = new_j
                 changed = True
@@ -584,13 +618,16 @@ def monotone_value_sets(
     if a.cover_forest:
         return cand
 
+    cap = config.effective_cap(cap)
     order = a.topo_order
     lower_cov = a.lower_covers
+    visited = 0
 
     def extendable(i: int, v: int) -> bool:
         assign = [-1] * n
 
         def rec(k: int) -> bool:
+            nonlocal visited
             if k == n:
                 return True
             e = order[k]
@@ -605,6 +642,9 @@ def monotone_value_sets(
             for c in lower_cov[e]:
                 mask &= x.up_masks[assign[c]]
             for w in _bits(mask):
+                visited += 1
+                if visited > cap:
+                    raise SizeCapExceeded(cap, n, x.n, visited)
                 assign[e] = w
                 if rec(k + 1):
                     return True
@@ -623,6 +663,65 @@ def monotone_value_sets(
             return None
         exact.append(m)
     return exact
+
+
+def value_sets_at(
+    a: Poset,
+    x: Poset,
+    points: Sequence[int],
+    lower: Optional[Mapping[int, Iterable[int]]] = None,
+    cap: Optional[int] = None,
+) -> Optional[dict]:
+    """The sets monotone_value_sets reports at ``points`` only, as
+    {point: bitmask}; None when no monotone map a -> x respects ``lower``.
+
+    When the cover graph of ``a`` is a forest, each point's set comes
+    from directional arc consistency toward it (Freuder, "A sufficient
+    condition for backtrack-free search", JACM 1982): the arcs of its
+    tree are revised leaves first, so every value left at a node extends
+    to the subtree hanging below it, and the values left at the point
+    are exactly its set.  A component with no point gets one such pass,
+    toward its least element, to decide whether it has a map at all.
+
+    Every starting domain is an intersection of up-sets, hence an
+    up-set, and intersecting with the union of the up-sets over an
+    up-set keeps it one.  So an arc whose child lies below its parent
+    intersects with the child's domain directly while that domain is
+    still an up-set; only an arc whose child lies above its parent
+    needs the union, and its parent's domain is no longer known to be
+    an up-set.  Other domains go through monotone_value_sets, under
+    ``cap``.
+    """
+    if not a.cover_forest:
+        sets = monotone_value_sets(a, x, lower=lower, cap=cap)
+        return None if sets is None else {r: sets[r] for r in points}
+    base = _lower_masks(a, x, lower)
+    up, down = x.up_masks, x.down_masks
+    trees = a.cover_trees
+    roots = list(points)
+    rest = a.full_mask
+    for r in roots:
+        rest &= ~trees[r][0]
+    while rest:
+        r = (rest & -rest).bit_length() - 1
+        roots.append(r)
+        rest &= ~trees[r][0]
+    out = {}
+    for r in roots:
+        dom = base.copy()
+        upset = [True] * a.n
+        for c, p, below in trees[r][1]:
+            if not below:
+                dom[p] &= _union(down, dom[c])
+                upset[p] = False
+            elif upset[c]:
+                dom[p] &= dom[c]
+            else:
+                dom[p] &= _union(up, dom[c])
+        if not dom[r]:
+            return None
+        out[r] = dom[r]
+    return {r: out[r] for r in points}
 
 
 # -- adjoints ----------------------------------------------------------------

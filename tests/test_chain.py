@@ -9,7 +9,9 @@ import pytest
 
 from kaninj import (
     DomainMismatch,
+    MapClass,
     MonotoneMap,
+    SizeCapExceeded,
     all_posets,
     antichain,
     build_poset,
@@ -17,6 +19,7 @@ from kaninj import (
     class_bottom,
     class_bottom_join,
     class_join,
+    diamond,
     dumps,
     enumerate_monotone,
     extend_along_unit,
@@ -265,6 +268,57 @@ def test_postconditions_survive_optimize():
     ]
 
 
+_TAMPERED_SPAN = """
+import dataclasses
+import sys
+from kaninj import MonotoneMap, antichain, class_join, init_chain, step_even, step_odd
+from kaninj.chain import ChainState
+from kaninj.errors import SquareDoesNotCommute
+
+print("optimize", sys.flags.optimize)
+st = step_odd(init_chain(antichain(2)), class_join())
+k, rec = next(
+    (k, r) for k, r in enumerate(st.span_registry) if len(set(r.f.assignment)) == 2
+)
+# swap the witness values at h(0) and h(1): the square no longer commutes
+h = class_join().maps[rec.h_index]
+w = list(rec.coproj.assignment)
+w[h.assignment[0]], w[h.assignment[1]] = w[h.assignment[1]], w[h.assignment[0]]
+bad = dataclasses.replace(rec, coproj=MonotoneMap(rec.coproj.dom, rec.coproj.cod, w, validate=False))
+spans = st.span_registry[:k] + (bad,) + st.span_registry[k + 1 :]
+try:
+    step_even(ChainState(st.stages, st.connectors, spans, st.gamma_registry), class_join())
+except SquareDoesNotCommute as exc:
+    print(exc)
+"""
+
+
+def test_step_even_checks_the_witness_premise():
+    # step_even only computes value sets outside h's image, which is
+    # sound because the witness equals the floor on the image; a state
+    # that breaks this is refused, also under python -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_SPAN],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out[0] == "optimize 1"
+    assert len(out) == 2
+    assert out[1].startswith("span ") and "differs from its floor on the image of h" in out[1]
+
+
+def test_step_even_passes_its_cap_to_the_value_sets():
+    # cod(h) is the diamond, whose cover graph has a cycle, so the even
+    # step certifies its value sets by a search under the cap
+    d = diamond()
+    klass = MapClass("diamond", (MonotoneMap(antichain(2), d, [d.index["a"], d.index["b"]]),))
+    st = step_odd(init_chain(antichain(2)), klass)
+    with pytest.raises(SizeCapExceeded):
+        step_even(st, klass, cap=1)
+    assert step_even(st, klass).top == 2
+
+
 # sha256 of the whole chain of reflect(antichain(4), class): its odd
 # stages reach 94-151 elements, beyond the <=4-element corpus the golden
 # trace covers.  Recorded with an engine that closed every generator and
@@ -273,6 +327,14 @@ def test_postconditions_survive_optimize():
 WIDE_DIGESTS = {
     "join": "556ed29b27c2729d26e464bb244fee79b8128dc3601b7bc565602301c7ead88d",
     "bot+join": "1f04c3b2a24361f57bebca3326eba17b3256f8486242a1ae89bb954ceac66b86",
+}
+
+# The same digest for antichain(5), whose odd stages reach 705-736
+# elements.  Recorded with an even step that computed every value set of
+# every span through monotone_value_sets.
+WIDE5_DIGESTS = {
+    "join": "6185862cb2084a9b1968d2c6fce360fec862ca0b39b2569e8e643697af2b4f83",
+    "bot+join": "cc515a54bcdb6f07ce9b22403519faa14cd4545376cd208e4a246001052ca8e9",
 }
 
 
@@ -293,10 +355,14 @@ def chain_digest(r) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("klass", [class_join(), class_bottom_join()], ids=lambda k: k.name)
-def test_wide_chain_digest(klass):
-    r = reflect(antichain(4), klass)
-    assert chain_digest(r) == WIDE_DIGESTS[klass.name]
+@pytest.mark.parametrize(
+    "n,klass",
+    [pytest.param(4, k, id=k.name) for k in (class_join(), class_bottom_join())]
+    + [pytest.param(5, k, id=f"antichain5-{k.name}") for k in (class_join(), class_bottom_join())],
+)
+def test_wide_chain_digest(n, klass):
+    r = reflect(antichain(n), klass)
+    assert chain_digest(r) == {4: WIDE_DIGESTS, 5: WIDE5_DIGESTS}[n][klass.name]
     # the one-pass composites agree with composing connector by connector
     state = r.trace
     for i in range(state.top + 1):
@@ -304,3 +370,4 @@ def test_wide_chain_digest(klass):
         assert len(composites) == i + 1
         for j in range(i + 1):
             assert composites[j] == state.connector(j, i).assignment, (j, i)
+

@@ -30,6 +30,7 @@ from kaninj.poset import (
     left_adjoint,
     monotone_value_sets,
     right_adjoint,
+    value_sets_at,
 )
 
 from oracles import brute_adjoints, brute_close_and_collapse, brute_monotone
@@ -242,6 +243,54 @@ def test_adjoints_match_definition():
 
 def test_monotone_value_sets_infeasible():
     assert monotone_value_sets(chain(2), empty()) is None
+
+
+def test_monotone_value_sets_certification_is_capped():
+    # the diamond's cover graph has a cycle, so its values are certified
+    # by search, and that search counts its nodes against the cap
+    with pytest.raises(SizeCapExceeded) as info:
+        monotone_value_sets(diamond(), chain(3), cap=1)
+    err = info.value
+    assert (err.cap, err.dom_n, err.cod_n, err.visited) == (1, 4, 3, 2)
+    # every constant map exists, so each element takes every value
+    assert monotone_value_sets(diamond(), chain(3)) == [0b111] * 4
+
+
+def test_value_sets_at_match_monotone_value_sets():
+    # every map h between posets with at most 3 elements, and every h
+    # from a poset with at most 2 elements into a 4-element poset whose
+    # cover graph has a cycle, into every poset with at most 4 elements
+    rng = random.Random(11)
+    small = all_posets(3)
+    cyclic = [c for c in all_posets(4) if not c.cover_forest]
+    assert len(cyclic) == 2
+    maps = [h for a in small for b in small for h in enumerate_monotone(a, b)]
+    maps += [h for a in all_posets(2) for b in cyclic for h in enumerate_monotone(a, b)]
+    seen = {"infeasible": 0, "child_above": 0, "cyclic": 0}
+    for h in maps:
+        b = h.cod
+        points = [v for v in range(b.n) if v not in h.assignment]
+        if not b.cover_forest:
+            seen["cyclic"] += 1
+        elif any(not below for r in points for _, _, below in b.cover_trees[r][1]):
+            seen["child_above"] += 1
+        for x in all_posets(4):
+            for trial in range(3):
+                lower = {}
+                if trial and x.n:
+                    for v in range(b.n):
+                        if rng.random() < 0.5:
+                            lower[v] = rng.sample(range(x.n), rng.randint(1, min(2, x.n)))
+                want = monotone_value_sets(b, x, lower=lower)
+                got = value_sets_at(b, x, points, lower=lower)
+                if want is None:
+                    seen["infeasible"] += 1
+                    assert got is None, (h.assignment, b.elements, x.elements, lower)
+                else:
+                    assert got == {v: want[v] for v in points}, (
+                        h.assignment, b.elements, x.elements, lower,
+                    )
+    assert all(seen.values()), seen
 
 
 def test_two_cells():
