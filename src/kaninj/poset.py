@@ -434,11 +434,12 @@ def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
         return Poset([], np.zeros((0, 0), dtype=bool), validate=False), ()
     ends = np.fromiter(itertools.chain.from_iterable(index_pairs), dtype=np.intp).reshape(-1, 2)
     src, dst = ends[:, 0], ends[:, 1]
-    # (a, b) with a < b is mutual when (b, a) is among the sorted pair keys
-    keys = np.sort(src * n + dst)
-    back = dst * n + src
-    found = keys[np.searchsorted(keys, back).clip(max=len(keys) - 1)] == back
-    mutual = (src < dst) & found
+    # (a, b) with a < b is mutual when (b, a) is given too
+    m = len(ends)
+    keys, key_of = np.unique(np.concatenate([src * n + dst, dst * n + src]), return_inverse=True)
+    given = np.zeros(len(keys), dtype=bool)
+    given[key_of[:m]] = True
+    mutual = (src < dst) & given[key_of[m:]]
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -681,7 +682,8 @@ def value_sets_at(
     tree are revised leaves first, so every value left at a node extends
     to the subtree hanging below it, and the values left at the point
     are exactly its set.  A component with no point gets one such pass,
-    toward its least element, to decide whether it has a map at all.
+    toward its lowest-indexed element, to decide whether it has a map
+    at all.
 
     Every starting domain is an intersection of up-sets, hence an
     up-set, and intersecting with the union of the up-sets over an
@@ -689,8 +691,8 @@ def value_sets_at(
     intersects with the child's domain directly while that domain is
     still an up-set; only an arc whose child lies above its parent
     needs the union, and its parent's domain is no longer known to be
-    an up-set.  Other domains go through monotone_value_sets, under
-    ``cap``.
+    an up-set.  An ``a`` whose cover graph is not a forest goes through
+    monotone_value_sets, under ``cap``.
     """
     if not a.cover_forest:
         sets = monotone_value_sets(a, x, lower=lower, cap=cap)
