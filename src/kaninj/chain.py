@@ -34,7 +34,7 @@ from .errors import (
     QuotientViolation,
     SquareDoesNotCommute,
 )
-from .hom import is_dense, left_kan
+from .hom import _below, _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
 from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, value_sets_at
 
@@ -384,12 +384,8 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
                 f"class {klass.name} does not match the reflection: "
                 f"its map {rec.h_index} is not the one the span at stage {rec.stage} used"
             )
-        below = tuple(
-            tuple(a for a in range(h.dom.n) if h.cod.leq[h.assignment[a], b])
-            for b in range(h.cod.n)
-        )
         spans_at.setdefault(rec.stage, []).append(
-            (rec, h, rec.f.assignment, rec.coproj.assignment, below)
+            (rec, h, rec.f.assignment, rec.coproj.assignment, _below(h))
         )
     plan = tuple(
         (
@@ -402,28 +398,6 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
     )
     result.plans[key] = plan
     return plan
-
-
-def _span_join(target: Poset, vals: list, below: tuple) -> Optional[list]:
-    """The pointwise least extension of a span's leg along its h, where
-    vals[a] is the leg's value at a in dom(h): at each b of cod(h), the
-    join in target of vals[a] over the a in below[b].  None when one of
-    those joins does not exist (left_kan's pointwise route, on plain
-    tuples)."""
-    up = target.up_masks
-    out = []
-    for under in below:
-        if len(under) == 1:
-            out.append(vals[under[0]])
-            continue
-        mask = target.full_mask
-        for a in under:
-            mask &= up[vals[a]]
-        j = target.least_of(mask)
-        if j is None:
-            return None
-        out.append(j)
-    return out
 
 
 def _put(values: list, at: tuple, vals, i: int, nxt: Poset) -> None:

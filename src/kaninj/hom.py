@@ -6,6 +6,8 @@ minimal elements, the extension does not exist.  A pointwise join formula
 is used when every needed join exists (and is provably the least candidate
 then); otherwise the candidate set is searched outright.  The two routes
 agree wherever both apply, which the test-suite checks independently.
+The pointwise route is ``_span_join`` on plain tuples, shared with the
+preservation check in ``injectivity`` and with ``extend_along_unit``.
 
 Whether a poset is strong along a class, and whether a map preserves
 extensions, are decided in ``injectivity`` on top of ``left_kan``.
@@ -112,6 +114,36 @@ class KanResult:
         }
 
 
+def _below(h: MonotoneMap) -> tuple:
+    """below[b] lists the a in dom(h) with h(a) <= b, for each b of cod(h)."""
+    ups = [h.cod.up_masks[v] for v in h.assignment]
+    return tuple(
+        tuple(a for a, up in enumerate(ups) if up >> b & 1) for b in range(h.cod.n)
+    )
+
+
+def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
+    """The pointwise least extension along h of a map with values vals,
+    where vals[a] is its value at a in dom(h) and below = _below(h): at
+    each b of cod(h), the join in target of vals[a] over the a in
+    below[b].  None when one of those joins does not exist (left_kan's
+    pointwise route, on plain tuples)."""
+    up, full, least_of = target.up_masks, target.full_mask, target.least_of
+    out = []
+    for under in below:
+        if len(under) == 1:
+            out.append(vals[under[0]])
+            continue
+        mask = full
+        for a in under:
+            mask &= up[vals[a]]
+        j = least_of(mask)
+        if j is None:
+            return None
+        out.append(j)
+    return out
+
+
 def _lower_from(f: MonotoneMap, h: MonotoneMap) -> dict:
     lower: dict = {}
     for a_idx, ap_idx in enumerate(h.assignment):
@@ -126,15 +158,7 @@ def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanRe
         raise DomainMismatch("left_kan needs f and h with a common domain")
     apr, x = h.cod, f.cod
 
-    ups = [apr.up_masks[v] for v in h.assignment]
-    assign = []
-    for ap in range(apr.n):
-        vals = [fa for fa, up in zip(f.assignment, ups) if up >> ap & 1]
-        j = x.join_of(vals)
-        if j is None:
-            assign = None
-            break
-        assign.append(j)
+    assign = _span_join(x, f.assignment, _below(h))
     if assign is not None:
         g0 = MonotoneMap(apr, x, assign)
         strict = tuple(assign[v] for v in h.assignment) == f.assignment

@@ -12,7 +12,10 @@ strong along the class, and whether a map preserves extensions.
 ``_extensions`` lists every extension problem (h, f: dom h -> x) with
 its ``left_kan`` answer, and ``_unpreserved`` is the one preservation
 check over such a table; the map verdicts, ``preserves_kan``, the
-saturation closure checks and ``kz_laws`` all run it.
+saturation closure checks and ``kz_laws`` all run it.  The check decides
+each row on plain tuples, with the pointwise join routine
+``hom._span_join`` that ``extend_along_unit`` also uses, and falls back
+to ``left_kan`` only for a row where a join is missing or disagrees.
 
 ``is_injective`` and ``is_weakly_injective`` share one scan and one
 adjoint cross-check, decide from scratch every time and return the
@@ -35,8 +38,14 @@ from .cache import BoundedCache
 from .catalog import MapClass, all_posets
 from .colimits import cocomma
 from .config import effective_cap
-from .errors import NotInjectiveContext, PostconditionFailed, SizeCapExceeded
-from .hom import _restriction, hom_poset, left_kan
+from .errors import (
+    DomainMismatch,
+    NotComposable,
+    NotInjectiveContext,
+    PostconditionFailed,
+    SizeCapExceeded,
+)
+from .hom import _below, _restriction, _span_join, hom_poset, left_kan
 from .poset import (
     MonotoneMap,
     Poset,
@@ -124,10 +133,34 @@ def _all_strong(table: tuple) -> bool:
 
 
 def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int]):
-    """The problems (h_index, f) of a table into p.dom whose extension p
-    does not carry onto the extension of p∘f.  Every extension into both
-    endpoints must exist."""
+    """The problems (h_index, f) of a table into p.dom, built by
+    _extensions over maps, whose extension p does not carry onto the
+    extension of p∘f.  Every extension into both endpoints must exist.
+
+    Each row is decided on plain tuples first: at each b of cod(h), the
+    join in p.cod of p(f(a)) over the a with h(a) <= b (``_span_join``),
+    against p(ext(b)).  When every join exists and they all agree, that
+    join map is exactly what left_kan(p∘f, h) would return, so the row
+    is preserved.  Any other row, a missing join or a mismatch, falls
+    back to comparing p∘ext with left_kan(p∘f, h).  NotComposable when
+    the table is not into p.dom, checked on the first row, and
+    DomainMismatch when f and h have different domains, checked once
+    per class map: the errors composing and left_kan raise.
+    """
+    if table and table[0][1].cod.key != p.dom.key:
+        raise NotComposable("codomain/domain mismatch")
+    pa = p.assignment
+    belows: dict = {}
     for hi, f, res in table:
+        below = belows.get(hi)
+        if below is None:
+            h = maps[hi]
+            if f.dom.key != h.dom.key:
+                raise DomainMismatch("left_kan needs f and h with a common domain")
+            below = belows[hi] = _below(h)
+        joined = _span_join(p.cod, [pa[v] for v in f.assignment], below)
+        if joined is not None and joined == [pa[v] for v in res.extension.assignment]:
+            continue
         if res.extension.then(p) != left_kan(f.then(p), maps[hi], cap=cap).extension:
             yield hi, f
 

@@ -41,7 +41,14 @@ from .colimits import (
 from .errors import NotConverged
 from .hom import is_dense
 from .injectivity import is_injective_map, is_weakly_injective, mapping_cone, verdict
-from .poset import MonotoneMap, Poset, TwoCell, enumerate_monotone, two_cell_exists
+from .poset import (
+    MonotoneMap,
+    Poset,
+    TwoCell,
+    enumerate_monotone,
+    iter_monotone_assignments,
+    two_cell_exists,
+)
 from .saturation import (
     SaturationWitness,
     closure_check,
@@ -330,7 +337,13 @@ def suite_smallness(size: int = 3, mutate: bool = False, cap: Optional[int] = No
     """Every map from a small poset into a chain-prefix colimit factors
     through a finite stage, and the poset enumeration matches the known
     isomorphism counts.  Mutation only offers the first stage to factor
-    through."""
+    through.
+
+    A map m: a -> colimit factors when its assignment is one of the
+    composite tuples inj_i∘g over the usable stages i and g: a -> X_i.
+    Those are gathered into one set per poset a, stage by stage in
+    order and only as far as the first map that is not yet in it needs,
+    so each stage is enumerated at most once per a."""
     checks = []
     for n in range(min(size + 2, 5) + 1):
         got = len(all_posets(n)) - (len(all_posets(n - 1)) if n else 0)
@@ -349,17 +362,19 @@ def suite_smallness(size: int = 3, mutate: bool = False, cap: Optional[int] = No
         usable = 1 if mutate else len(state.stages)
         bad = 0
         for a in all_posets(size):
+            # inj_i∘g for every g: a -> stage i, i < reached; a stage is
+            # enumerated once, and only when some map needs it
+            through: set = set()
+            reached = 0
             for m in enumerate_monotone(a, omega.object, cap=cap):
-                factored = False
-                for i in range(usable):
-                    inj = omega.injections[i]
-                    if any(
-                        g.then(inj) == m
-                        for g in enumerate_monotone(a, state.stages[i], cap=cap)
-                    ):
-                        factored = True
-                        break
-                if not factored:
+                while m.assignment not in through and reached < usable:
+                    inj = omega.injections[reached].assignment
+                    through.update(
+                        tuple(inj[v] for v in g)
+                        for g in iter_monotone_assignments(a, state.stages[reached], cap=cap)
+                    )
+                    reached += 1
+                if m.assignment not in through:
                     bad += 1
         checks.append(
             Check(

@@ -3,8 +3,10 @@ import dataclasses
 import pytest
 
 from kaninj import (
+    DomainMismatch,
     MapClass,
     MonotoneMap,
+    NotComposable,
     NotInjectiveContext,
     PostconditionFailed,
     SizeCapExceeded,
@@ -35,7 +37,8 @@ from kaninj import (
     verdict,
 )
 from kaninj import cache, injectivity
-from kaninj.injectivity import _VERDICTS
+from kaninj.injectivity import _VERDICTS, _extensions, _unpreserved
+from kaninj.verify import _cone_classes
 
 from oracles import brute_kan, brute_monotone, brute_preserves, brute_strong, brute_weak
 
@@ -118,6 +121,89 @@ def test_preserves_kan_names_the_weak_endpoint():
         preserves_kan(MonotoneMap(antichain(2), point(), [0, 0]), join_map())
     with pytest.raises(NotInjectiveContext, match="^codomain"):
         preserves_kan(MonotoneMap(point(), antichain(2), [0]), join_map())
+
+
+def _answer_with(monkeypatch, x, table):
+    """Make the extension table of the poset object x be table."""
+    build = injectivity._extensions
+    monkeypatch.setattr(
+        injectivity, "_extensions", lambda y, maps, cap: table if y is x else build(y, maps, cap)
+    )
+
+
+def test_table_not_into_the_domain_is_not_composable(monkeypatch):
+    # a table into a relabelled 2-chain cannot be pushed along p
+    p = MonotoneMap(chain(2), chain(3), [0, 2])
+    klass = class_join()
+    clear_caches()
+    assert verdict(p.dom, klass) == verdict(p.cod, klass) == "strong"
+    _answer_with(monkeypatch, p.dom, _extensions(chain(2, prefix="z"), klass.maps, None))
+    with pytest.raises(NotComposable):
+        preserves_kan(p, klass.maps[0])
+    with pytest.raises(NotComposable):
+        is_injective_map(p, klass)
+
+
+def test_table_for_another_map_is_a_domain_mismatch(monkeypatch):
+    # rows extending along the bottom map, checked against the join map
+    p = MonotoneMap(chain(2), chain(3), [0, 2])
+    klass = class_join()
+    clear_caches()
+    assert verdict(p.dom, klass) == verdict(p.cod, klass) == "strong"
+    _answer_with(monkeypatch, p.dom, _extensions(chain(2), class_bottom().maps, None))
+    with pytest.raises(DomainMismatch):
+        preserves_kan(p, klass.maps[0])
+    with pytest.raises(DomainMismatch):
+        is_injective_map(p, klass)
+
+
+def _weak_maps(klass):
+    """Every map between posets with at most 3 elements that are at
+    least weakly injective for the class."""
+    weak = [x for x in all_posets(3) if brute_weak(x, klass)]
+    return [p for x in weak for y in weak for p in enumerate_monotone(x, y)]
+
+
+def test_unpreserved_rows_match_brute():
+    rows = unpreserved = nonstrict = 0
+    for klass in _cone_classes():
+        for p in _weak_maps(klass):
+            table = _extensions(p.dom, klass.maps, None)
+            want = []
+            for hi, f, res in table:
+                h = klass.maps[hi]
+                _, ext, strict = brute_kan(f.assignment, h, p.dom)
+                pushed = tuple(p.assignment[v] for v in f.assignment)
+                _, pushed_ext, _ = brute_kan(pushed, h, p.cod)
+                if tuple(p.assignment[v] for v in ext) != tuple(pushed_ext):
+                    want.append((hi, f))
+                rows += 1
+                nonstrict += not strict
+            got = list(_unpreserved(p, klass.maps, table, None))
+            assert got == want, (klass.name, p)
+            unpreserved += len(want)
+    # both outcomes and non-strict extensions (the collapse class) occur
+    assert 0 < unpreserved < rows
+    assert nonstrict
+
+
+def test_unpreserved_falls_back_to_left_kan(monkeypatch):
+    cases = []
+    for klass in _cone_classes():
+        for p in _weak_maps(klass):
+            table = _extensions(p.dom, klass.maps, None)
+            cases.append((p, klass.maps, table, list(_unpreserved(p, klass.maps, table, None))))
+    assert any(rows for *_, rows in cases)
+    misses = []
+
+    def missing(target, vals, below):
+        misses.append(vals)
+        return None
+
+    monkeypatch.setattr(injectivity, "_span_join", missing)
+    for p, maps, table, rows in cases:
+        assert list(_unpreserved(p, maps, table, None)) == rows
+    assert len(misses) == sum(len(table) for _, _, table, _ in cases)
 
 
 def test_map_verdict_decides_each_endpoint_once(monkeypatch):

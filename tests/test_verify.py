@@ -1,8 +1,16 @@
+import hashlib
+
 import pytest
 
 from kaninj import SUITES, dumps, run_suite, standard_classes, witness_menu
 
 EXPECTED = {"kz", "saturation", "cone", "bilimits", "colimits", "smallness"}
+
+# sha256 of the canonical JSON of all twelve size-3 reports, suites in
+# sorted order, each healthy then mutated; recorded while every row of
+# the preservation check still went through left_kan and the smallness
+# suite re-enumerated each stage for every map into the colimit
+SIZE3_REPORTS_SHA256 = "3fa053cf95aeae8975b47268aa9b7c069036cadb0b90f8528f9f74f0f533b440"
 
 
 def test_registry_names():
@@ -37,6 +45,15 @@ def test_reports_are_deterministic():
         a = dumps(run_suite(name, size=3).to_json())
         b = dumps(run_suite(name, size=3).to_json())
         assert a == b
+
+
+def test_size3_reports_are_pinned():
+    text = "".join(
+        dumps(run_suite(name, size=3, mutate=mutate).to_json())
+        for name in sorted(EXPECTED)
+        for mutate in (False, True)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == SIZE3_REPORTS_SHA256
 
 
 def test_menu_covers_every_recipe():
