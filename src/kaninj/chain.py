@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .catalog import MapClass
 from .colimits import ColimitResult, chain_colimit, glue
 from .errors import (
@@ -36,7 +38,7 @@ from .errors import (
 )
 from .hom import _below, _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
-from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, value_sets_at
+from .poset import MonotoneMap, Poset, _mask_rows, enumerate_monotone, value_sets_at
 
 __all__ = [
     "SpanRecord",
@@ -193,13 +195,15 @@ def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> C
     pieces = [("x", xi)] + [
         ("w%d" % k, h.cod) for k, (_, h, _) in enumerate(spans)
     ]
-    pairs = []
-    for k, (hi, h, f) in enumerate(spans):
-        for a in range(h.dom.n):
-            left = (0, f.assignment[a])
-            right = (k + 1, h.assignment[a])
-            pairs.append((left, right))
-            pairs.append((right, left))
+    # per (span k, a): (x, f(a)) <= (w_k, h(a)), then the reverse
+    pairs = np.array(
+        [
+            (0, fa, k, ha, k, ha, 0, fa)
+            for k, (_, h, f) in enumerate(spans, 1)
+            for fa, ha in zip(f.assignment, h.assignment)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, 2, 2)
     wide = glue("wide_pushout", pieces, ineq_pairs=pairs)
     nxt, relab = _relabel(wide.object, i + 1)
     conn = wide.injections[0].then(relab)
@@ -253,7 +257,8 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     only applies the quotient map so far, a plain tuple.  The pairs a
     span forces at b are the bits of its set at b outside the up-set of
     its witness value; a pass collects them as one bitmask per witness
-    value t and hands them to the quotient in ascending (t, v) order.
+    value t and hands them to the quotient as one index array, in
+    ascending (t, v) order.
     """
     i1 = state.top
     if i1 % 2 == 0:
@@ -302,9 +307,12 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
                     forced[t] |= new
                     added += new.bit_count()
             added_total[si] = added_total.get(si, 0) + added
-        pairs = [((0, t), (0, v)) for t, m in enumerate(forced) if m for v in _bits(m)]
-        if not pairs:
+        if not any(forced):
             break
+        t, v = np.nonzero(_mask_rows(forced, cur.n))
+        pairs = np.zeros((len(t), 2, 2), dtype=np.intp)
+        pairs[:, 0, 1] = t
+        pairs[:, 1, 1] = v
         res = glue("coequinserter", [("q", cur)], ineq_pairs=pairs)
         cur = res.object
         conn = tuple(res.injections[0].assignment[v] for v in conn)

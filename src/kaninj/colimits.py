@@ -5,7 +5,9 @@ Everything reduces to one gluing engine: lay the input posets side by side,
 add the stated identifications and inserted inequalities as generating
 pairs, and hand the presentation to ``poset.close_and_collapse``, which
 closes it to a preorder and collapses symmetric pairs (its boolean
-products run in float64, so stages of any size close exactly).  Each result
+products run in float32, exact for 0/1 terms, so stages of any size close
+exactly).  The pairs travel as one integer index array from the caller
+to the closure; ``gen_pairs`` is built from it once.  Each result
 keeps its generating presentation (labels, pairs, collapse map), which is
 what ``verify_universal`` checks cocone factorization against.
 
@@ -19,7 +21,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainMismatch, InvalidTwoCell, NotParallel, PostconditionFailed
 from .poset import MonotoneMap, Poset, TwoCell, close_and_collapse
@@ -64,12 +68,18 @@ class ColimitResult:
 def glue(
     kind: str,
     pieces: Sequence,
-    ineq_pairs: Iterable = (),
-    eq_pairs: Iterable = (),
+    ineq_pairs=(),
+    eq_pairs=(),
 ) -> ColimitResult:
     """Glue ``pieces`` = [(tag, poset), ...] along identifications
     (eq_pairs) and inserted inequalities (ineq_pairs), both given as
-    ((piece_index, element_index), (piece_index, element_index))."""
+    ((piece_index, element_index), (piece_index, element_index)): nested
+    tuples, or an integer array of shape (m, 2, 2).  An index outside the
+    pieces, or outside its piece, raises ValueError.
+
+    The generating pairs are, in order: each piece's cover pairs, the
+    ineq pairs, then each eq pair followed by its reverse, all as indices
+    into ``gen_labels`` (the pieces laid end to end)."""
     tags = tuple(tag for tag, _ in pieces)
     if len(set(tags)) != len(tags):
         raise ValueError("piece tags must be distinct")
@@ -86,18 +96,29 @@ def glue(
             f"{tag}:{lbl}" for (tag, p) in pieces for lbl in p.elements
         )
 
-    pair_list = []
-    for pi, p in enumerate(posets):
-        for i, j in p.cover_pairs:
-            pair_list.append((offsets[pi] + i, offsets[pi] + j))
-    for (pi, ei), (pj, ej) in ineq_pairs:
-        pair_list.append((offsets[pi] + ei, offsets[pj] + ej))
-    for (pi, ei), (pj, ej) in eq_pairs:
-        a, b = offsets[pi] + ei, offsets[pj] + ej
-        pair_list.append((a, b))
-        pair_list.append((b, a))
+    given = np.asarray(ineq_pairs, dtype=np.intp).reshape(-1, 2, 2)
+    eq = np.asarray(eq_pairs, dtype=np.intp).reshape(-1, 2, 2)
+    if len(eq):
+        # each eq pair, then its reverse
+        given = np.concatenate([given, np.concatenate([eq, eq[:, ::-1]], axis=1).reshape(-1, 2, 2)])
+    piece, elem = given.reshape(-1, 2).T
+    # Read as unsigned, a negative index is huge.  Pieces past the end
+    # map to a sentinel column of size 0, so every bad index fails one
+    # comparison with its piece's size.
+    table = np.array([offsets + [0], [p.n for p in posets] + [0]], dtype=np.intp)
+    start, size = table[:, np.minimum(piece.view(np.uintp), len(posets))]
+    if (elem.view(np.uintp) >= size.view(np.uintp)).any():
+        bad = next(
+            (pi, ei) for pi, ei in given.reshape(-1, 2).tolist()
+            if not (0 <= pi < len(posets) and 0 <= ei < posets[pi].n)
+        )
+        raise ValueError(f"glue index {bad} is outside the pieces")
+    cover = [(o + i, o + j) for o, p in zip(offsets, posets) for i, j in p.cover_pairs]
+    ends = np.concatenate([np.array(cover, dtype=np.intp).reshape(-1, 2), (start + elem).reshape(-1, 2)])
+    src, dst = ends.T.tolist()
+    gen_pairs = tuple(zip(src, dst))
 
-    obj, collapse = close_and_collapse(gen_labels, pair_list)
+    obj, collapse = close_and_collapse(gen_labels, ends)
     injections = tuple(
         MonotoneMap(p, obj, collapse[offsets[pi] : offsets[pi] + p.n])
         for pi, p in enumerate(posets)
@@ -108,7 +129,7 @@ def glue(
         injections=injections,
         tags=tags,
         gen_labels=gen_labels,
-        gen_pairs=tuple(pair_list),
+        gen_pairs=gen_pairs,
         collapse=collapse,
     )
     for bucket in _RECORDERS:

@@ -11,10 +11,12 @@ Conventions used throughout the package:
   given in both directions identifies, close the merged relation, then
   merge the classes of elements it still forces equal.  ``build_poset``
   and every colimit go through it.
-* Every boolean matrix product is taken in float64 (``_square``).  Path
-  counts reach the number of elements, odd stages of the reflection
-  chain reach several hundred, and 8-bit counts would wrap at 256 and
-  drop pairs from a closure or add false cover pairs.
+* Every boolean matrix product is taken in float32 (``_square``).  Each
+  entry of the product sums terms that are 0 or 1, so it is positive
+  exactly when some term is 1, and path counts up to 2^24 are exact
+  anyway; odd stages of the reflection chain reach a few thousand
+  elements.  8-bit counts would wrap at 256 and drop pairs from a
+  closure or add false cover pairs.
 * Monotone maps are total index assignments, validated against the cover
   relation of the domain.  Up-sets, down-sets and value sets are plain
   int bitmasks; value-set propagation and the adjoints work on those, not
@@ -29,7 +31,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -53,8 +54,11 @@ def _square(m: np.ndarray) -> np.ndarray:
     """Boolean matrix square: [i, j] iff m[i, k] and m[k, j] for some k.
 
     Every boolean product in the package goes through here.  It runs in
-    float64 so the matmul hits BLAS and the path counts stay exact."""
-    f = m.astype(np.float64)
+    float32 so the matmul hits BLAS.  Every term is 0 or 1, so a sum is
+    positive exactly when some term is 1: no rounding can reach 0, and
+    counts up to 2^24 are exact in any case.  float32 halves the memory
+    and the time of float64 on the large odd stages."""
+    f = m.astype(np.float32)
     return (f @ f) > 0
 
 
@@ -80,6 +84,14 @@ def _row_masks(mat: np.ndarray) -> list:
     """Row i of a boolean matrix as an int with bit j set iff mat[i, j]."""
     packed = np.packbits(mat, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Inverse of ``_row_masks``: int bitmasks below 2**n as the rows of
+    a (len(masks), n) 0/1 matrix."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
 
 
 class Poset:
@@ -409,37 +421,41 @@ def two_cell_exists(f: MonotoneMap, g: MonotoneMap) -> bool:
 # -- construction ----------------------------------------------------------
 
 
-def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
+def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
     """The poset presented by generators and inequalities between them.
 
     ``index_pairs`` holds generating inequalities (i, j) between indices
-    into ``labels``.  The relation is closed reflexively and transitively,
-    and each class of generators forced equal becomes one element, named
-    after its least label; elements are sorted by name.  Returns
-    ``(poset, collapse)`` with ``collapse[i]`` the element that generator
-    i lands on.  This is the only place a relation is closed and
-    collapsed: every poset built from a presentation and every colimit
-    comes from here.
+    into ``labels``: an (m, 2) integer array, or anything ``np.asarray``
+    turns into one, such as a list of pairs.  An index outside
+    ``range(len(labels))`` raises ValueError.  The relation is closed
+    reflexively and transitively, and each class of generators forced
+    equal becomes one element, named after its least label; elements
+    are sorted by name.  Returns ``(poset, collapse)`` with
+    ``collapse[i]`` the element that generator i lands on.  This is the
+    only place a relation is closed and collapsed: every poset built
+    from a presentation and every colimit comes from here.
 
-    The pairs are read once into an (m, 2) index array.  Generators
-    joined by a pair given in both directions are found on that array
-    and merged with a union-find before any matrix is built, and only
-    the merged relation is closed; the closure then merges whatever
-    longer cycles remain.  Identifications are stated as such pairs (the
-    legs of a pushout, say), so the closed matrix has one row per merged
-    class, not per generator.  Repeated pairs are harmless.
+    Generators joined by a pair given in both directions are found on
+    the index array and merged with a union-find before any matrix is
+    built, and only the merged relation is closed; the closure then
+    merges whatever longer cycles remain.  Identifications are stated as
+    such pairs (the legs of a pushout, say), so the closed matrix has one
+    row per merged class, not per generator.  Repeated pairs are
+    harmless.
     """
     n = len(labels)
+    ends = np.asarray(index_pairs, dtype=np.intp).reshape(-1, 2)
+    if len(ends) and (ends.min() < 0 or ends.max() >= n):
+        bad = next(p for p in ends.tolist() if not (0 <= p[0] < n and 0 <= p[1] < n))
+        raise ValueError(f"generator pair {tuple(bad)} out of range for {n} generators")
     if n == 0:
         return Poset([], np.zeros((0, 0), dtype=bool), validate=False), ()
-    ends = np.fromiter(itertools.chain.from_iterable(index_pairs), dtype=np.intp).reshape(-1, 2)
     src, dst = ends[:, 0], ends[:, 1]
     # (a, b) with a < b is mutual when (b, a) is given too
-    m = len(ends)
-    keys, key_of = np.unique(np.concatenate([src * n + dst, dst * n + src]), return_inverse=True)
-    given = np.zeros(len(keys), dtype=bool)
-    given[key_of[:m]] = True
-    mutual = (src < dst) & given[key_of[m:]]
+    keys = np.sort(src * n + dst)
+    back = dst * n + src
+    at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
+    mutual = (src < dst) & (keys[at] == back)
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -452,10 +468,12 @@ def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
         ra, rb = find(a), find(b)
         if ra != rb:
             root[max(ra, rb)] = min(ra, rb)
-    # node[i]: generator i's row in the merged matrix; rows follow the
-    # least generator of each merged class
-    roots, node = np.unique([find(i) for i in range(n)], return_inverse=True)
-    mat = np.eye(len(roots), dtype=bool)
+    # node[i]: generator i's row in the merged matrix.  A root is the
+    # least generator of its class, so it is met first and the rows
+    # follow the roots in ascending order.
+    row_of: dict = {}
+    node = np.array([row_of.setdefault(find(i), len(row_of)) for i in range(n)], dtype=np.intp)
+    mat = np.eye(len(row_of), dtype=bool)
     mat[node[src], node[dst]] = True
     closed = _closure(mat)
     # a class is named by its least row; cls_of[i] is generator i's class
@@ -466,7 +484,7 @@ def close_and_collapse(labels: Sequence[str], index_pairs: Iterable) -> tuple:
             class_label[c] = lbl
     order = sorted(class_label, key=lambda c: (class_label[c], c))
     rank = {c: pos for pos, c in enumerate(order)}
-    poset = Poset([class_label[c] for c in order], closed[np.ix_(order, order)], validate=False)
+    poset = Poset([class_label[c] for c in order], closed.take(order, 0).take(order, 1), validate=False)
     return poset, tuple(rank[c] for c in cls_of)
 
 

@@ -1,15 +1,24 @@
 import dataclasses
+import hashlib
+import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kaninj import (
     MonotoneMap,
+    all_posets,
     antichain,
     chain,
+    class_bottom_join,
+    class_join,
     diamond,
     empty,
     enumerate_monotone,
     point,
+    reflect,
+    standard_classes,
     two_cell_exists,
     vee,
 )
@@ -27,9 +36,9 @@ from kaninj.colimits import (
     wide_pushout,
 )
 from kaninj.errors import NotParallel
-from kaninj.poset import TwoCell
+from kaninj.poset import Poset, TwoCell
 
-from oracles import brute_monotone
+from oracles import brute_close_and_collapse, brute_monotone
 
 
 def brute_unique_mediator(res, targets):
@@ -209,6 +218,82 @@ def test_glue_multi_piece_label_scheme():
     assert sorted(res.object.elements) == ["l:x", "r:x"]
 
 
+def test_glue_rejects_indices_outside_the_pieces():
+    pieces = [("a", chain(2)), ("b", chain(2))]
+    # a negative element would wrap to b:c1; one past a's end would
+    # spill into b
+    for bad in [((0, -1), (1, 0)), ((0, 2), (0, 0)), ((2, 0), (0, 0)), ((-1, 0), (0, 1))]:
+        with pytest.raises(ValueError, match="outside the pieces"):
+            glue("q", pieces, ineq_pairs=[bad])
+        with pytest.raises(ValueError, match="outside the pieces"):
+            glue("q", pieces, eq_pairs=np.array([bad]))
+    with pytest.raises(ValueError, match="outside the pieces"):
+        glue("q", [], ineq_pairs=[((0, 0), (0, 0))])
+
+
+@st.composite
+def gluings(draw):
+    """A few pieces from the <=3-element corpus, some possibly empty,
+    with ineq and eq pairs between their elements."""
+    corpus = all_posets(3)
+    pieces = [
+        (f"t{k}", draw(st.sampled_from(corpus)))
+        for k in range(draw(st.integers(0, 4)))
+    ]
+    slots = [(pi, ei) for pi, (_, p) in enumerate(pieces) for ei in range(p.n)]
+    if not slots:
+        return pieces, [], []
+    pair = st.tuples(st.sampled_from(slots), st.sampled_from(slots))
+    return pieces, draw(st.lists(pair, max_size=6)), draw(st.lists(pair, max_size=4))
+
+
+def reference_glue(pieces, ineq, eq):
+    """gen_labels, gen_pairs, object and collapse of a gluing, built
+    from the definition on brute_close_and_collapse."""
+    offsets, k = [], 0
+    for _, p in pieces:
+        offsets.append(k)
+        k += p.n
+    if len(pieces) == 1:
+        labels = list(pieces[0][1].elements)
+    else:
+        labels = [f"{tag}:{lbl}" for tag, p in pieces for lbl in p.elements]
+    pairs = [(o + i, o + j) for o, (_, p) in zip(offsets, pieces) for i, j in p.cover_pairs]
+    pairs += [(offsets[pi] + ei, offsets[pj] + ej) for (pi, ei), (pj, ej) in ineq]
+    for (pi, ei), (pj, ej) in eq:
+        a, b = offsets[pi] + ei, offsets[pj] + ej
+        pairs += [(a, b), (b, a)]
+    names, leq, collapse = brute_close_and_collapse(labels, pairs)
+    obj = Poset(names, np.array(leq, dtype=bool).reshape(len(names), len(names)), validate=False)
+    return tuple(labels), tuple(pairs), obj, collapse, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluings())
+def test_glue_matches_reference(g):
+    pieces, ineq, eq = g
+    res = glue("g", pieces, ineq_pairs=ineq, eq_pairs=eq)
+    labels, pairs, obj, collapse, offsets = reference_glue(pieces, ineq, eq)
+    assert res.gen_labels == labels
+    assert res.gen_pairs == pairs
+    assert res.collapse == collapse
+    assert res.object.key == obj.key
+    assert res.tags == tuple(tag for tag, _ in pieces)
+    assert [(m.dom.key, m.cod.key) for m in res.injections] == [(p.key, obj.key) for _, p in pieces]
+    assert [m.assignment for m in res.injections] == [
+        collapse[o : o + p.n] for o, (_, p) in zip(offsets, pieces)
+    ]
+    as_arrays = glue(
+        "g",
+        pieces,
+        ineq_pairs=np.array(ineq, dtype=np.int64).reshape(-1, 2, 2),
+        eq_pairs=np.array(eq, dtype=np.int32).reshape(-1, 2, 2),
+    )
+    assert as_arrays == res
+    assert type(as_arrays.gen_pairs) is tuple
+    assert all(type(i) is int and type(j) is int for i, j in as_arrays.gen_pairs)
+
+
 def test_record_colimits_captures():
     with record_colimits() as log:
         coproduct([point(), point("y")])
@@ -218,3 +303,37 @@ def test_record_colimits_captures():
         )
     kinds = [r.kind for r in log]
     assert "coproduct" in kinds and "pushout" in kinds
+
+
+def presentation_digest(results) -> str:
+    """sha256 over (kind, gen_labels, gen_pairs, collapse, object.key) of
+    each result, in order."""
+    h = hashlib.sha256()
+    for r in results:
+        doc = [r.kind, list(r.gen_labels), [list(p) for p in r.gen_pairs], list(r.collapse)]
+        h.update(json.dumps(doc).encode())
+        h.update(r.object.key)
+    return h.hexdigest()
+
+
+# 100 results, 24,975 generating pairs.  Recorded with a glue that built
+# gen_pairs in a Python loop over nested ((piece, element), (piece,
+# element)) pairs.
+REFLECT_PRESENTATIONS = (
+    "126dbbdaff3f12e99bd98c25dc8d8a12c14c541ba323120e972d09def83fb8ba"
+)
+
+
+def test_reflection_presentations_are_pinned():
+    # every colimit reflect glues on the <=3-element corpus for each
+    # standard class, and on antichain(4) under join and bot+join
+    runs = [(x, k) for k in standard_classes() for x in all_posets(3)]
+    runs += [(antichain(4), class_join()), (antichain(4), class_bottom_join())]
+    with record_colimits() as log:
+        for x, klass in runs:
+            reflect(x, klass)
+    for r in log:
+        assert type(r.gen_pairs) is tuple and type(r.collapse) is tuple
+        assert all(type(p) is tuple and len(p) == 2 for p in r.gen_pairs)
+        assert all(type(i) is int and type(j) is int for i, j in r.gen_pairs)
+    assert presentation_digest(log) == REFLECT_PRESENTATIONS

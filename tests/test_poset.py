@@ -24,6 +24,9 @@ from kaninj import (
 from kaninj.errors import CycleDetected, NotMonotone, NotParallel
 from kaninj.poset import (
     TwoCell,
+    _mask_rows,
+    _row_masks,
+    _square,
     classify_adjoint,
     close_and_collapse,
     iter_monotone_assignments,
@@ -129,6 +132,57 @@ def test_covers_exact_past_255_paths():
     assert (bot, top) not in p.cover_pairs
     assert len(p.cover_pairs) == 512
     assert len(poset_to_json(p)["leq"]) == 512
+
+
+def bitset_square(mat) -> list:
+    """Boolean square of a 0/1 matrix on Python int rows: row i of the
+    product is the union of the rows k with mat[i][k]."""
+    rows = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.tolist()]
+    out = []
+    for r in rows:
+        acc = 0
+        for k, row in enumerate(rows):
+            if r >> k & 1:
+                acc |= row
+        out.append(acc)
+    return out
+
+
+def test_square_matches_bitset_product():
+    rng = np.random.default_rng(9)
+    for n, density in [(1, 0.5), (7, 0.3), (40, 0.05), (120, 0.02), (300, 0.01), (300, 0.5)]:
+        m = rng.random((n, n)) < density
+        assert _row_masks(_square(m)) == bitset_square(m)
+
+
+def test_square_exact_when_counts_reach_n():
+    # an all-true row 0 and column 0 make entry (0, 0) a sum of n ones;
+    # the all-true matrix makes every entry one
+    rng = np.random.default_rng(10)
+    for n in (255, 256, 300):
+        m = rng.random((n, n)) < 0.02
+        m[0, :] = True
+        m[:, 0] = True
+        sq = _square(m)
+        assert int((m[0, :].astype(int) @ m[:, 0].astype(int))) == n
+        assert _row_masks(sq) == bitset_square(m)
+        assert sq.all()
+        assert _square(np.ones((n, n), dtype=bool)).all()
+
+
+def test_mask_rows_inverts_row_masks():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 7, 8, 9, 65):
+        m = rng.random((5, n)) < 0.4
+        assert np.array_equal(_mask_rows(_row_masks(m), n).astype(bool), m)
+
+
+def test_close_and_collapse_rejects_out_of_range_generators():
+    for pairs in ([(0, 2)], [(-1, 0)], [(0, 1), (1, -2)]):
+        with pytest.raises(ValueError, match="out of range"):
+            close_and_collapse(["a", "b"], pairs)
+    with pytest.raises(ValueError, match="out of range"):
+        close_and_collapse([], [(0, 0)])
 
 
 def test_validate_accepts_wide_closed_poset():
