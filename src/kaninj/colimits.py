@@ -8,8 +8,10 @@ closes it to a preorder and collapses symmetric pairs (its boolean
 products run in float32, exact for 0/1 terms, so stages of any size close
 exactly).  The pairs travel as one integer index array from the caller
 to the closure; ``gen_pairs`` is built from it once.  Each result
-keeps its generating presentation (labels, pairs, collapse map), which is
-what ``verify_universal`` checks cocone factorization against.
+keeps its generating presentation (labels, pairs, collapse map), from
+which ``verify_universal`` proves the universal property: the order
+pulled back to the generators must be the reachability of the
+generating pairs, computed there without the closure code.
 
 Element identity is tracked by provenance labels "tag:original" so that a
 glued element names where it came from; classes are named after their
@@ -243,136 +245,79 @@ def chain_colimit(stages: Sequence, connectors: Sequence) -> ColimitResult:
 @dataclass(frozen=True)
 class UniversalityReport:
     ok: bool
-    complete: bool
-    cocones_checked: int
     failure: Optional[str]
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "complete": self.complete,
-            "cocones_checked": self.cocones_checked,
-            "failure": self.failure,
-        }
+        return {"ok": self.ok, "failure": self.failure}
 
 
-def verify_universal(
-    res: ColimitResult,
-    targets: Optional[Sequence] = None,
-    budget: int = 50_000,
-) -> UniversalityReport:
-    """Check the colimit's universal property against small targets.
+def verify_universal(res: ColimitResult) -> UniversalityReport:
+    """Prove or refute the colimit's universal property.
 
-    Structural part (always complete): the object is a valid poset, the
-    quotient map hits every element, respects every generating pair, and
-    matches the stored injections.  Search part: candidate cocones into
-    each target are enumerated directly from the generating pairs (not
-    through the computed object) and must factor uniquely; enumeration
-    stops after ``budget`` backtracking nodes and reports whether it
-    covered everything.
+    Structural part: the object is a valid poset, the quotient map hits
+    every element, respects every generating pair, and matches the
+    stored injections.  Certificate: a presented poset is the colimit
+    exactly when its order, pulled back along the quotient map, is the
+    reflexive-transitive reachability of the generating pairs.  The
+    structural part gives one inclusion; the other is checked against
+    reachability computed here as plain-int bitsets by depth-first
+    search over ``gen_pairs``, without ``close_and_collapse`` or numpy.
+    Generators of one class that are not mutually reachable fail as
+    ``cocone not constant on class of <label>``; any other order
+    relation that the pairs do not derive fails as ``mediating map not
+    monotone``.
     """
     obj = res.object
     try:
         obj.validate()
     except Exception as exc:  # noqa: BLE001 - report, do not crash
-        return UniversalityReport(False, True, 0, f"object invalid: {exc}")
+        return UniversalityReport(False, f"object invalid: {exc}")
     n_gen = len(res.gen_labels)
     collapse = res.collapse
     for i, j in res.gen_pairs:
         if not obj.leq[collapse[i], collapse[j]]:
             return UniversalityReport(
-                False, True, 0,
+                False,
                 f"quotient drops generating pair {res.gen_labels[i]} <= {res.gen_labels[j]}",
             )
     if set(collapse) != set(range(obj.n)) and n_gen:
-        return UniversalityReport(False, True, 0, "quotient map is not surjective")
+        return UniversalityReport(False, "quotient map is not surjective")
     if obj.n and not n_gen:
-        return UniversalityReport(False, True, 0, "object has elements but no generators")
+        return UniversalityReport(False, "object has elements but no generators")
     offsets = res.piece_offsets
     for pi, inj in enumerate(res.injections):
         base = offsets[pi]
         if tuple(inj.assignment) != tuple(collapse[base : base + inj.dom.n]):
-            return UniversalityReport(False, True, 0, f"injection {pi} disagrees with quotient")
+            return UniversalityReport(False, f"injection {pi} disagrees with quotient")
 
-    if targets is None:
-        from .catalog import all_posets
-
-        targets = all_posets(4)
-
-    first_gen = [None] * obj.n
+    succ = [[] for _ in range(n_gen)]
+    for i, j in res.gen_pairs:
+        succ[i].append(j)
+    reach = []
     for s in range(n_gen):
-        if first_gen[collapse[s]] is None:
-            first_gen[collapse[s]] = s
+        seen = 1 << s
+        stack = [s]
+        while stack:
+            for w in succ[stack.pop()]:
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        reach.append(seen)
 
-    # Each generating pair (i, j) means slot i must land below slot j in
-    # the target.  Constraints attach to whichever slot is filled later.
-    lower_of = [[] for _ in range(n_gen)]
-    upper_of = [[] for _ in range(n_gen)]
-    for i, j in sorted(set(res.gen_pairs)):
-        if i == j:
-            continue
-        if i < j:
-            lower_of[j].append(i)
-        else:
-            upper_of[i].append(j)
-
-    visited = 0
-    cocones = 0
-    complete = True
-    failure = None
-    ok = True
-
-    for t in targets:
-        if not ok or not complete:
-            break
-        if t.n == 0:
-            if n_gen == 0:
-                cocones += 1
-            continue
-        assign = [0] * n_gen
-        full = t.full_mask
-
-        def rec(k: int):
-            nonlocal visited, cocones, ok, complete, failure
-            if not ok or not complete:
-                return
-            if k == n_gen:
-                cocones += 1
-                u = [assign[first_gen[o]] for o in range(obj.n)]
-                for s in range(n_gen):
-                    if assign[s] != u[collapse[s]]:
-                        ok = False
-                        failure = (
-                            f"cocone not constant on class of {res.gen_labels[s]}"
-                        )
-                        return
-                for a, b in obj.cover_pairs:
-                    if not t.leq[u[a], u[b]]:
-                        ok = False
-                        failure = "mediating map not monotone"
-                        return
-                return
-            mask = full
-            for o in lower_of[k]:
-                mask &= t.up_masks[assign[o]]
-            for o in upper_of[k]:
-                mask &= t.down_masks[assign[o]]
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                visited += 1
-                if visited > budget:
-                    complete = False
-                    return
-                assign[k] = v
-                rec(k + 1)
-                if not ok or not complete:
-                    return
-
-        if n_gen == 0:
-            cocones += 1
-        else:
-            rec(0)
-
-    return UniversalityReport(ok, complete, cocones, failure)
+    members = [0] * obj.n
+    least = [None] * obj.n
+    for s in range(n_gen):
+        members[collapse[s]] |= 1 << s
+        r = least[collapse[s]]
+        if r is None:
+            least[collapse[s]] = s
+        elif not (reach[s] >> r & 1 and reach[r] >> s & 1):
+            return UniversalityReport(
+                False, f"cocone not constant on class of {res.gen_labels[s]}"
+            )
+    # the generators at or above each element (classes are disjoint)
+    above = [sum(members[b] for b in range(obj.n) if up >> b & 1) for up in obj.up_masks]
+    for i in range(n_gen):
+        if above[collapse[i]] & ~reach[i]:
+            return UniversalityReport(False, "mediating map not monotone")
+    return UniversalityReport(True, None)

@@ -413,7 +413,7 @@ def test_criterion_6(world):
             seen.setdefault(key, res)
         assert seen
         for res in seen.values():
-            rep = verify_universal(res, CORPUS)
+            rep = verify_universal(res)
             assert rep.ok, (res.kind, res.object.n, rep.failure)
 
         rng = random.Random(20260819)
@@ -465,7 +465,7 @@ def test_criterion_7(world):
         assert len(chains) >= 8
 
         for cc in chains:
-            assert verify_universal(cc, CORPUS).ok
+            assert verify_universal(cc).ok
             for small in CORPUS:
                 for f_vals in mono(small, cc.object):
                     assert any(

@@ -154,8 +154,9 @@ def test_saturate(tmp_path, capsys):
 def test_verify_suite(tmp_path, capsys):
     assert main(["verify", "colimits", "--size-cap", "3"]) == 0
     assert out_json(capsys)["passed"] is True
-    assert main(["verify", "colimits", "--size-cap", "3", "--mutate"]) == 1
-    assert out_json(capsys)["passed"] is False
+    for size in ("1", "2", "3"):
+        assert main(["verify", "colimits", "--size-cap", size, "--mutate"]) == 1
+        assert out_json(capsys)["passed"] is False
 
 
 def test_enumerate(capsys):

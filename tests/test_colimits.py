@@ -10,6 +10,7 @@ from kaninj import (
     MonotoneMap,
     all_posets,
     antichain,
+    build_poset,
     chain,
     class_bottom_join,
     class_join,
@@ -37,6 +38,7 @@ from kaninj.colimits import (
 )
 from kaninj.errors import NotParallel
 from kaninj.poset import Poset, TwoCell
+from kaninj.verify import _sample_colimits
 
 from oracles import brute_close_and_collapse, brute_monotone
 
@@ -199,10 +201,57 @@ def test_verify_universal_healthy_and_mutated():
     h = MonotoneMap(antichain(2), chain(2), [0, 1])
     res = pushout(f, h)
     rep = verify_universal(res)
-    assert rep.ok and rep.complete
+    assert rep.ok
     broken = dataclasses.replace(res, gen_pairs=res.gen_pairs[:-1])
     rep2 = verify_universal(broken)
     assert not rep2.ok
+    assert rep2.failure == "cocone not constant on class of 1:c1"
+
+
+# sha256 over json [ok, failure] of every single-pair drop below (905
+# drops from 79 colimits); recorded with the budgeted cocone search into
+# all_posets(4), which finished on every one of them.
+SINGLE_DROP_REPORTS = (
+    "7e83b06d84ec9bb3f7dc960cb59f933466f2dceec581b9039fecd5ee9cae4a53"
+)
+
+
+def test_single_pair_drop_reports_are_pinned():
+    # every distinct colimit with at most 12 generators that reflect
+    # glues on the <=4-element corpus, plus the colimits suite's sample
+    with record_colimits() as log:
+        for klass in standard_classes():
+            for x in all_posets(4):
+                reflect(x, klass)
+    seen = {}
+    for r in list(log) + _sample_colimits(None):
+        if len(r.gen_labels) <= 12:
+            seen.setdefault((r.kind, r.gen_labels, r.gen_pairs, r.object.key), r)
+    h = hashlib.sha256()
+    for r in seen.values():
+        for k in range(len(r.gen_pairs)):
+            kept = r.gen_pairs[:k] + r.gen_pairs[k + 1 :]
+            rep = verify_universal(dataclasses.replace(r, gen_pairs=kept))
+            h.update(json.dumps([rep.ok, rep.failure]).encode())
+    assert h.hexdigest() == SINGLE_DROP_REPORTS
+
+
+def test_verify_universal_refutes_a_large_broken_presentation():
+    # The odd-step wide pushout of chain(2) + point under join has 53
+    # generators; without its first pair it is not the colimit.  A
+    # cocone search capped at 50k nodes gave up on it and passed it.
+    x = build_poset(["p0", "p1", "p2"], [("p0", "p1")])
+    with record_colimits() as log:
+        reflect(x, class_join())
+    res = log[2]
+    assert (res.kind, len(res.gen_labels), len(res.gen_pairs)) == ("wide_pushout", 53, 101)
+    assert verify_universal(res).ok
+    kept = res.gen_pairs[1:]
+    _, leq, collapse = brute_close_and_collapse(res.gen_labels, kept)
+    assert leq != res.object.leq.tolist()
+    rep = verify_universal(dataclasses.replace(res, gen_pairs=kept))
+    assert not rep.ok
+    assert rep.failure == "mediating map not monotone"
 
 
 def test_glue_single_piece_keeps_labels():
@@ -292,6 +341,23 @@ def test_glue_matches_reference(g):
     assert as_arrays == res
     assert type(as_arrays.gen_pairs) is tuple
     assert all(type(i) is int and type(j) is int for i, j in as_arrays.gen_pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gluings(), st.data())
+def test_verify_universal_matches_reference(g, data):
+    pieces, ineq, eq = g
+    res = glue("g", pieces, ineq_pairs=ineq, eq_pairs=eq)
+    assert verify_universal(res).ok
+    keep = data.draw(st.lists(st.booleans(), min_size=len(res.gen_pairs), max_size=len(res.gen_pairs)))
+    kept = tuple(p for p, k in zip(res.gen_pairs, keep) if k)
+    names, leq, collapse = brute_close_and_collapse(res.gen_labels, kept)
+    same = (
+        names == list(res.object.elements)
+        and leq == res.object.leq.tolist()
+        and collapse == res.collapse
+    )
+    assert verify_universal(dataclasses.replace(res, gen_pairs=kept)).ok == same
 
 
 def test_record_colimits_captures():
