@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .cache import BoundedCache
-from .poset import MonotoneMap, Poset, _square, build_poset
+from .poset import MonotoneMap, Poset, _mask_rows, _transitive, build_poset
 
 
 def empty() -> Poset:
@@ -110,13 +108,13 @@ def _enumerate_posets(max_n: int) -> tuple:
         pair_list = list(combinations(range(n), 2))
         npairs = len(pair_list)
         for mask in range(1 << npairs):
-            rel = np.eye(n, dtype=bool)
+            up = [1 << i for i in range(n)]
             for t, (i, j) in enumerate(pair_list):
                 if (mask >> t) & 1:
-                    rel[i, j] = True
-            if (_square(rel) & ~rel).any():
+                    up[i] |= 1 << j
+            if not _transitive(up):
                 continue
-            p = Poset([f"p{i}" for i in range(n)], rel, validate=False)
+            p = Poset([f"p{i}" for i in range(n)], _mask_rows(up, n), validate=False)
             key = p.canonical_form()
             if key not in seen:
                 seen[key] = p

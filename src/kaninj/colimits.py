@@ -4,10 +4,10 @@ objects, coinserters, coequifiers, coequinserters, and chain colimits.
 Everything reduces to one gluing engine: lay the input posets side by side,
 add the stated identifications and inserted inequalities as generating
 pairs, and hand the presentation to ``poset.close_and_collapse``, which
-closes it to a preorder and collapses symmetric pairs (its boolean
-products run in float32, exact for 0/1 terms, so stages of any size close
-exactly).  The pairs travel as one integer index array from the caller
-to the closure; ``gen_pairs`` is built from it once.  Each result
+collapses each strongly connected component of the pairs to one element
+and orders the elements by reachability.  The pairs travel as one
+integer index array from the caller to the closure; ``gen_pairs`` is
+built from it once.  Each result
 keeps its generating presentation (labels, pairs, collapse map), from
 which ``verify_universal`` proves the universal property: the order
 pulled back to the generators must be the reachability of the

@@ -7,16 +7,10 @@ Conventions used throughout the package:
   this library targets, keeping the closed matrix beats recomputing
   reachability.
 * A presentation (labels plus generating inequalities) becomes a poset
-  in one place, ``close_and_collapse``: merge the generators that a pair
-  given in both directions identifies, close the merged relation, then
-  merge the classes of elements it still forces equal.  ``build_poset``
-  and every colimit go through it.
-* Every boolean matrix product is taken in float32 (``_square``).  Each
-  entry of the product sums terms that are 0 or 1, so it is positive
-  exactly when some term is 1, and path counts up to 2^24 are exact
-  anyway; odd stages of the reflection chain reach a few thousand
-  elements.  8-bit counts would wrap at 256 and drop pairs from a
-  closure or add false cover pairs.
+  in one place, ``close_and_collapse``: the strongly connected components
+  of the generating pairs are the elements, and their reachability
+  bitmasks (``_reach``) are the order.  ``build_poset`` and every colimit
+  go through it.
 * Monotone maps are total index assignments, validated against the cover
   relation of the domain.  Up-sets, down-sets and value sets are plain
   int bitmasks; value-set propagation and the adjoints work on those, not
@@ -50,29 +44,6 @@ from .errors import (
 )
 
 
-def _square(m: np.ndarray) -> np.ndarray:
-    """Boolean matrix square: [i, j] iff m[i, k] and m[k, j] for some k.
-
-    Every boolean product in the package goes through here.  It runs in
-    float32 so the matmul hits BLAS.  Every term is 0 or 1, so a sum is
-    positive exactly when some term is 1: no rounding can reach 0, and
-    counts up to 2^24 are exact in any case.  float32 halves the memory
-    and the time of float64 on the large odd stages."""
-    f = m.astype(np.float32)
-    return (f @ f) > 0
-
-
-def _closure(mat: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure by repeated boolean squaring."""
-    m = mat.astype(bool).copy()
-    np.fill_diagonal(m, True)
-    while True:
-        nxt = _square(m)
-        if np.array_equal(nxt, m):
-            return nxt
-        m = nxt
-
-
 def _bits(mask: int):
     while mask:
         low = mask & -mask
@@ -92,6 +63,69 @@ def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+
+
+def _transitive(up: Sequence[int]) -> bool:
+    """Whether a relation given by row bitmasks (bit j of up[i] iff i is
+    related to j) is transitive: each row holds the rows of its bits."""
+    return all(up[j] & ~row == 0 for row in up for j in _bits(row))
+
+
+def _reach(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
+    """``(comp, reach)`` for the arcs src[k] -> dst[k] on range(n):
+    comp[v] is v's strongly connected component, numbered as they finish
+    (sinks first), and bit d of reach[c] is set iff c reaches d.
+
+    An iterative Tarjan (SIAM J. Comput. 1972), so no recursion limit
+    applies.  A component finishes after every component it reaches, so
+    its mask takes one OR per component its arcs enter, skipping those
+    already in it.  v's arcs lead to heads[first[v]:first[v + 1]]."""
+    by_src = np.argsort(src, kind="stable")
+    heads = dst[by_src].tolist()
+    first = np.searchsorted(src[by_src], np.arange(n + 1)).tolist()
+    nxt = first[:-1]  # v's next arc to follow
+    seen = [-1] * n  # discovery number, -1 until reached
+    low = [0] * n
+    spot = [0] * n  # position on the stack
+    comp = [-1] * n  # -1 until v's component finishes
+    stack: list = []
+    reach: list = []
+    count = 0
+    for root in range(n):
+        if seen[root] >= 0:
+            continue
+        path = [root]
+        while path:
+            v = path[-1]
+            if seen[v] < 0:
+                seen[v] = low[v] = count
+                count += 1
+                spot[v] = len(stack)
+                stack.append(v)
+            for k in range(nxt[v], first[v + 1]):
+                w = heads[k]
+                if seen[w] < 0:
+                    nxt[v] = k + 1
+                    path.append(w)
+                    break
+                if comp[w] < 0 and seen[w] < low[v]:
+                    low[v] = seen[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1]]:
+                    low[path[-1]] = low[v]
+                if low[v] == seen[v]:
+                    members = stack[spot[v] :]
+                    del stack[spot[v] :]
+                    c = len(reach)
+                    for u in members:
+                        comp[u] = c
+                    mask = 1 << c
+                    for d in {comp[w] for u in members for w in heads[first[u] : first[u + 1]]}:
+                        if not mask >> d & 1:
+                            mask |= reach[d]
+                    reach.append(mask)
+    return comp, reach
 
 
 class Poset:
@@ -119,7 +153,7 @@ class Poset:
         sym = self.leq & self.leq.T
         if sym.sum() != n:
             raise CycleDetected("leq is not antisymmetric")
-        if not np.array_equal(_square(self.leq), self.leq):
+        if not _transitive(self.up_masks):
             raise ValueError("leq is not transitively closed")
 
     # -- basic access ----------------------------------------------------
@@ -168,15 +202,21 @@ class Poset:
         return (1 << self.n) - 1
 
     @cached_property
-    def covers(self) -> np.ndarray:
-        """covers[i, j] iff j covers i (i < j with nothing strictly between)."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return strict & ~_square(strict)
-
-    @cached_property
     def cover_pairs(self) -> tuple:
-        rows, cols = np.nonzero(self.covers)
-        return tuple(zip(rows.tolist(), cols.tolist()))
+        """(i, j) for each j covering i, ascending: the minimal elements
+        of i's strict up-set.  Bits at positions in a linear extension
+        make the lowest bit left minimal; dropping its up-set leaves the
+        elements not above it."""
+        order = self.topo_order
+        up = _row_masks(self.leq.take(order, 0).take(order, 1))
+        pairs = []
+        for p, i in enumerate(order):
+            left = up[p] & ~(1 << p)
+            while left:
+                q = (left & -left).bit_length() - 1
+                pairs.append((i, order[q]))
+                left &= ~up[q]
+        return tuple(sorted(pairs))
 
     @cached_property
     def lower_covers(self) -> list:
@@ -435,13 +475,10 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
     only place a relation is closed and collapsed: every poset built
     from a presentation and every colimit comes from here.
 
-    Generators joined by a pair given in both directions are found on
-    the index array and merged with a union-find before any matrix is
-    built, and only the merged relation is closed; the closure then
-    merges whatever longer cycles remain.  Identifications are stated as
-    such pairs (the legs of a pushout, say), so the closed matrix has one
-    row per merged class, not per generator.  Repeated pairs are
-    harmless.
+    The classes are the strongly connected components of the pairs, and
+    the order is their reachability, both from one pass of ``_reach``
+    over the index array; no matrix is built until the closed one, with
+    one row per class.  Repeated pairs are harmless.
     """
     n = len(labels)
     ends = np.asarray(index_pairs, dtype=np.intp).reshape(-1, 2)
@@ -450,41 +487,16 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
         raise ValueError(f"generator pair {tuple(bad)} out of range for {n} generators")
     if n == 0:
         return Poset([], np.zeros((0, 0), dtype=bool), validate=False), ()
-    src, dst = ends[:, 0], ends[:, 1]
-    # (a, b) with a < b is mutual when (b, a) is given too
-    keys = np.sort(src * n + dst)
-    back = dst * n + src
-    at = np.minimum(np.searchsorted(keys, back), len(keys) - 1)
-    mutual = (src < dst) & (keys[at] == back)
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for a, b in ends[mutual].tolist():
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            root[max(ra, rb)] = min(ra, rb)
-    # node[i]: generator i's row in the merged matrix.  A root is the
-    # least generator of its class, so it is met first and the rows
-    # follow the roots in ascending order.
-    row_of: dict = {}
-    node = np.array([row_of.setdefault(find(i), len(row_of)) for i in range(n)], dtype=np.intp)
-    mat = np.eye(len(row_of), dtype=bool)
-    mat[node[src], node[dst]] = True
-    closed = _closure(mat)
-    # a class is named by its least row; cls_of[i] is generator i's class
-    cls_of = (closed & closed.T).argmax(axis=1)[node].tolist()
+    cls_of, reach = _reach(n, ends[:, 0], ends[:, 1])
+    # a class takes its least label; the sort is stable, so ties keep least-generator order
     class_label: dict = {}
     for lbl, c in zip(labels, cls_of):
         if c not in class_label or lbl < class_label[c]:
             class_label[c] = lbl
-    order = sorted(class_label, key=lambda c: (class_label[c], c))
+    order = sorted(class_label, key=class_label.__getitem__)
     rank = {c: pos for pos, c in enumerate(order)}
-    poset = Poset([class_label[c] for c in order], closed.take(order, 0).take(order, 1), validate=False)
+    closed = _mask_rows([reach[c] for c in order], len(order)).take(order, 1)
+    poset = Poset([class_label[c] for c in order], closed, validate=False)
     return poset, tuple(rank[c] for c in cls_of)
 
 

@@ -1,0 +1,103 @@
+"""Reflect antichain(6) and antichain(7) under bot+join and check the whole chain.
+
+These are the largest reflections that finish: the odd stages of
+antichain(7) reach 9059 elements and it takes several seconds, so this
+is a script rather than a test (pytest collects only ``test_*.py``) and
+tier-1 does not pay for it.  For each size it checks convergence, the
+stage sizes, the elements of the reflected poset and the whole-chain
+digest of ``test_chain.chain_digest``; the antichain(6) digest was
+recorded with an even step that computed every value set of every span,
+the antichain(7) one with the dense closure that predates bitset
+reachability.  It also checks the closed form of the free bot+join
+completion: with unit d, the map phi(r) = {x : d(x) <= r} is an
+order-isomorphism from the reflection onto the down-sets of
+antichain(n), all 2^n subsets.  It prints each run's time and the peak
+RSS of the process after it; sizes run in ascending order, so that is
+the peak of the run just printed.  Exit status 0 when all hold, 1
+otherwise.  Run from the repository root, optionally naming sizes:
+
+    PYTHONPATH=src python tests/reflect_antichain.py [6] [7]
+"""
+
+import resource
+import sys
+import time
+
+from kaninj import antichain, class_bottom_join, reflect
+
+from test_chain import chain_digest
+
+# n -> (stage sizes, elements of the reflection, whole-chain digest)
+EXPECTED = {
+    6: (
+        [6, 43, 22, 470, 57, 2822, 64, 911, 64],
+        64,
+        "3500452b41970cb3c0891089561e33798f736554c03b536e9df5d74b3075f793",
+    ),
+    7: (
+        [7, 57, 29, 821, 99, 9059, 128, 6711, 128],
+        128,
+        "9edf68e3f283f7964187fb4033beb1089747674c4dba30ed676529231a9c6c68",
+    ),
+}
+
+
+def down_sets(x) -> set:
+    """Every down-set of x as a bitmask over its elements."""
+    return {
+        mask for mask in range(1 << x.n)
+        if all(x.down_masks[i] & ~mask == 0 for i in range(x.n) if mask >> i & 1)
+    }
+
+
+def closed_form_failure(x, r):
+    """None when phi(s) = {i : unit(i) <= s} is an order-isomorphism from
+    r.reflected onto the down-sets of x, else what fails."""
+    refl, unit = r.reflected, r.unit.assignment
+    phi = [sum(1 << i for i in range(x.n) if refl.leq[unit[i], s]) for s in range(refl.n)]
+    if set(phi) != down_sets(x) or len(phi) != len(set(phi)):
+        return "phi is not a bijection onto the down-sets"
+    for s in range(refl.n):
+        for t in range(refl.n):
+            if bool(refl.leq[s, t]) != (phi[s] & ~phi[t] == 0):
+                return f"phi does not preserve and reflect {refl.elements[s]} <= {refl.elements[t]}"
+    return None
+
+
+def check(n: int) -> list:
+    """Reflect antichain(n), print its time and peak RSS, return failures."""
+    stage_sizes, elements, expected_digest = EXPECTED[n]
+    x = antichain(n)
+    start = time.perf_counter()
+    r = reflect(x, class_bottom_join())
+    elapsed = time.perf_counter() - start
+    sizes = [s.n for s in r.trace.stages]
+    digest = chain_digest(r)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"reflect(antichain({n}), bot+join): {elapsed:.1f} s, peak RSS {rss_mb:.0f} MB, stages {sizes}")
+    failures = []
+    if not r.converged:
+        failures.append("did not converge")
+    if sizes != stage_sizes:
+        failures.append(f"stage sizes {sizes}, expected {stage_sizes}")
+    if r.reflected.n != elements:
+        failures.append(f"{r.reflected.n} elements, expected {elements}")
+    if digest != expected_digest:
+        failures.append(f"chain digest {digest}, expected {expected_digest}")
+    if r.converged:
+        bad = closed_form_failure(x, r)
+        if bad:
+            failures.append(f"closed form: {bad}")
+    return [f"antichain({n}): {line}" for line in failures]
+
+
+def main(argv) -> int:
+    sizes = sorted(int(a) for a in argv) or sorted(EXPECTED)
+    failures = [line for n in sizes for line in check(n)]
+    for line in failures:
+        print("FAIL:", line)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

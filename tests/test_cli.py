@@ -159,6 +159,16 @@ def test_verify_suite(tmp_path, capsys):
         assert out_json(capsys)["passed"] is False
 
 
+def test_verify_saturation_controls_at_small_sizes(capsys):
+    # a one-element sample cannot refute the collapse map, so the
+    # negative control samples at least the two-element posets
+    assert main(["verify", "saturation", "--size-cap", "1"]) == 0
+    assert out_json(capsys)["passed"] is True
+    for size in ("1", "2"):
+        assert main(["verify", "saturation", "--size-cap", size, "--mutate"]) == 1
+        assert out_json(capsys)["passed"] is False
+
+
 def test_enumerate(capsys):
     assert main(["enumerate", "3"]) == 0
     data = out_json(capsys)

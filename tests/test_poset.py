@@ -26,7 +26,6 @@ from kaninj.poset import (
     TwoCell,
     _mask_rows,
     _row_masks,
-    _square,
     classify_adjoint,
     close_and_collapse,
     iter_monotone_assignments,
@@ -128,46 +127,71 @@ def test_covers_exact_past_255_paths():
     # 256 paths from bot to top: an 8-bit path count wraps to 0 there
     p = wide_diamond(256)
     bot, top = p.index["bot"], p.index["top"]
-    assert not p.covers[bot, top]
     assert (bot, top) not in p.cover_pairs
     assert len(p.cover_pairs) == 512
     assert len(poset_to_json(p)["leq"]) == 512
 
 
-def bitset_square(mat) -> list:
-    """Boolean square of a 0/1 matrix on Python int rows: row i of the
-    product is the union of the rows k with mat[i][k]."""
-    rows = [sum(1 << j for j, x in enumerate(r) if x) for r in mat.tolist()]
-    out = []
-    for r in rows:
-        acc = 0
-        for k, row in enumerate(rows):
-            if r >> k & 1:
-                acc |= row
-        out.append(acc)
-    return out
+def covers_by_definition(p) -> list:
+    """(i, j) with i < j and no k strictly between, in ascending order."""
+    strict = p.leq & ~np.eye(p.n, dtype=bool)
+    return [
+        (i, j)
+        for i in range(p.n)
+        for j in range(p.n)
+        if strict[i, j] and not (strict[i] & strict[:, j]).any()
+    ]
 
 
-def test_square_matches_bitset_product():
-    rng = np.random.default_rng(9)
-    for n, density in [(1, 0.5), (7, 0.3), (40, 0.05), (120, 0.02), (300, 0.01), (300, 0.5)]:
-        m = rng.random((n, n)) < density
-        assert _row_masks(_square(m)) == bitset_square(m)
+def test_cover_pairs_match_definition():
+    for p in list(all_posets(5)) + [wide_diamond(256), chain(40), antichain(7)]:
+        assert p.cover_pairs == tuple(covers_by_definition(p))
 
 
-def test_square_exact_when_counts_reach_n():
-    # an all-true row 0 and column 0 make entry (0, 0) a sum of n ones;
-    # the all-true matrix makes every entry one
-    rng = np.random.default_rng(10)
-    for n in (255, 256, 300):
-        m = rng.random((n, n)) < 0.02
-        m[0, :] = True
-        m[:, 0] = True
-        sq = _square(m)
-        assert int((m[0, :].astype(int) @ m[:, 0].astype(int))) == n
-        assert _row_masks(sq) == bitset_square(m)
-        assert sq.all()
-        assert _square(np.ones((n, n), dtype=bool)).all()
+def random_presentation(rng, n: int, density: float) -> list:
+    pairs = np.argwhere(rng.random((n, n)) < density)
+    return [tuple(pair) for pair in rng.permutation(pairs).tolist()]
+
+
+@pytest.mark.parametrize("n", [40, 120])
+@pytest.mark.parametrize("density", [0.01, 0.04, 0.3])
+def test_close_and_collapse_matches_oracle_at_scale(n, density):
+    # the hypothesis test reaches 9 generators; these reach 120, with
+    # labels out of index order and, at low density, many classes.
+    # Repeated labels make classes tie on their names.
+    rng = np.random.default_rng(n * 1000 + int(density * 100))
+    distinct = [f"g{k:03d}" for k in rng.permutation(n)]
+    repeated = [f"g{k % 9}" for k in rng.permutation(n)]
+    order = rng.permutation(n).tolist()
+    cycle = list(zip(order, order[1:] + order[:1]))
+    hub = int(rng.integers(n))
+    hub_pairs = [(hub, k) for k in range(n)] + [(k, hub) for k in range(n)]
+    base = random_presentation(rng, n, density)
+    for labels in (distinct, repeated):
+        for pairs in (base, base + cycle, base + hub_pairs, base + [(hub, k) for k in range(n)]):
+            got, collapse = close_and_collapse(labels, pairs)
+            names, leq, want = brute_close_and_collapse(labels, pairs)
+            assert got.elements == tuple(names)
+            assert got.key == oracle_poset(names, leq).key
+            assert collapse == want
+
+
+def test_close_and_collapse_has_no_recursion_limit():
+    n = 5000
+    labels = [f"g{k:04d}" for k in range(n)]
+    path = [(k, k + 1) for k in range(n - 1)]
+    p, collapse = close_and_collapse(labels, path)
+    assert p.elements == tuple(labels) and collapse == tuple(range(n))
+    assert np.array_equal(p.leq, np.triu(np.ones((n, n), dtype=bool)))
+    assert p.cover_pairs == tuple(path)
+    p, collapse = close_and_collapse(labels, path[::-1] + [(n - 1, 0)])
+    assert p.elements == ("g0000",) and collapse == (0,) * n
+
+
+def test_validate_rejects_intransitive_leq():
+    leq = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
+    with pytest.raises(ValueError, match="^leq is not transitively closed$"):
+        Poset(["a", "b", "c"], leq)
 
 
 def test_mask_rows_inverts_row_masks():
