@@ -11,6 +11,12 @@ computation stores nothing.
 
 Each table keeps at most ``BOUND`` entries and drops the least recently
 used one beyond that.  ``clear_caches()`` empties every table.
+
+Tables derived from one immutable object are not process-wide memo
+tables and are not kept here: a poset's cached properties and its join
+memo (``Poset.join_mask``, at most ``BOUND`` masks, stored while there is
+room), and a map's ``below`` table.  Each is keyed only on its own
+object, so nothing can make it stale, and it dies with that object.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from .errors import (
     QuotientViolation,
     SquareDoesNotCommute,
 )
-from .hom import _below, _span_join, is_dense, left_kan
+from .hom import _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
 from .poset import MonotoneMap, Poset, _mask_rows, enumerate_monotone, value_sets_at
 
@@ -368,8 +368,8 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
 
     One entry per stage i < stages_used: (X_{i+1}, its cover pairs, the
     connector's assignment, the spans recorded at stage i).  A span
-    is (record, h, f's assignment, the coprojection's assignment, below),
-    where below[b] lists the a in dom(h) with h(a) <= b.  DomainMismatch
+    is (record, h, f's assignment, the coprojection's assignment,
+    h.below()), whose entry b lists the a in dom(h) with h(a) <= b.  DomainMismatch
     when a span's map is not in the class, or is not the map the span
     was recorded for: the class does not match the reflection.
     """
@@ -393,7 +393,7 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
                 f"its map {rec.h_index} is not the one the span at stage {rec.stage} used"
             )
         spans_at.setdefault(rec.stage, []).append(
-            (rec, h, rec.f.assignment, rec.coproj.assignment, _below(h))
+            (rec, h, rec.f.assignment, rec.coproj.assignment, h.below())
         )
     plan = tuple(
         (

@@ -7,7 +7,9 @@ is used when every needed join exists (and is provably the least candidate
 then); otherwise the candidate set is searched outright.  The two routes
 agree wherever both apply, which the test-suite checks independently.
 The pointwise route is ``_span_join`` on plain tuples, shared with the
-preservation check in ``injectivity`` and with ``extend_along_unit``.
+preservation check in ``injectivity`` and with ``extend_along_unit``:
+along h it reads the map's memoized ``MonotoneMap.below`` table, and each
+join is a lookup in the target's memo by value mask (``Poset.join_mask``).
 
 Whether a poset is strong along a class, and whether a map preserves
 extensions, are decided in ``injectivity`` on top of ``left_kan``.
@@ -114,30 +116,23 @@ class KanResult:
         }
 
 
-def _below(h: MonotoneMap) -> tuple:
-    """below[b] lists the a in dom(h) with h(a) <= b, for each b of cod(h)."""
-    ups = [h.cod.up_masks[v] for v in h.assignment]
-    return tuple(
-        tuple(a for a, up in enumerate(ups) if up >> b & 1) for b in range(h.cod.n)
-    )
-
-
 def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
     """The pointwise least extension along h of a map with values vals,
-    where vals[a] is its value at a in dom(h) and below = _below(h): at
+    where vals[a] is its value at a in dom(h) and below = h.below(): at
     each b of cod(h), the join in target of vals[a] over the a in
-    below[b].  None when one of those joins does not exist (left_kan's
-    pointwise route, on plain tuples)."""
-    up, full, least_of = target.up_masks, target.full_mask, target.least_of
+    below[b], looked up by value mask (``Poset.join_mask``).  None when
+    one of those joins does not exist (left_kan's pointwise route, on
+    plain tuples)."""
+    join_mask = target.join_mask
     out = []
     for under in below:
         if len(under) == 1:
             out.append(vals[under[0]])
             continue
-        mask = full
+        vmask = 0
         for a in under:
-            mask &= up[vals[a]]
-        j = least_of(mask)
+            vmask |= 1 << vals[a]
+        j = join_mask(vmask)
         if j is None:
             return None
         out.append(j)
@@ -158,7 +153,7 @@ def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanRe
         raise DomainMismatch("left_kan needs f and h with a common domain")
     apr, x = h.cod, f.cod
 
-    assign = _span_join(x, f.assignment, _below(h))
+    assign = _span_join(x, f.assignment, h.below())
     if assign is not None:
         g0 = MonotoneMap(apr, x, assign)
         strict = tuple(assign[v] for v in h.assignment) == f.assignment
@@ -183,10 +178,10 @@ def is_dense(f: MonotoneMap) -> bool:
     (identity, identity 2-cell) is the left Kan extension of f along f."""
     y = f.cod
     image = sorted(set(f.assignment))
+    image_mask = sum(1 << w for w in image)
     assign = []
     for v in range(y.n):
-        vals = [w for w in image if y.leq[w, v]]
-        j = y.join_of(vals)
+        j = y.join_mask(image_mask & y.down_masks[v])
         if j is None:
             assign = None
             break

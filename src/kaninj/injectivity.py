@@ -14,8 +14,9 @@ its ``left_kan`` answer, and ``_unpreserved`` is the one preservation
 check over such a table; the map verdicts, ``preserves_kan``, the
 saturation closure checks and ``kz_laws`` all run it.  The check decides
 each row on plain tuples, with the pointwise join routine
-``hom._span_join`` that ``extend_along_unit`` also uses, and falls back
-to ``left_kan`` only for a row where a join is missing or disagrees.
+``hom._span_join`` that ``extend_along_unit`` also uses, over each class
+map's memoized ``below`` table, and falls back to ``left_kan`` only for
+a row where a join is missing or disagrees.
 
 ``is_injective`` and ``is_weakly_injective`` share one scan and one
 adjoint cross-check, decide from scratch every time and return the
@@ -45,7 +46,7 @@ from .errors import (
     PostconditionFailed,
     SizeCapExceeded,
 )
-from .hom import _below, _restriction, _span_join, hom_poset, left_kan
+from .hom import _restriction, _span_join, hom_poset, left_kan
 from .poset import (
     MonotoneMap,
     Poset,
@@ -157,7 +158,7 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int
             h = maps[hi]
             if f.dom.key != h.dom.key:
                 raise DomainMismatch("left_kan needs f and h with a common domain")
-            below = belows[hi] = _below(h)
+            below = belows[hi] = h.below()
         joined = _span_join(p.cod, [pa[v] for v in f.assignment], below)
         if joined is not None and joined == [pa[v] for v in res.extension.assignment]:
             continue

@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * A poset holds a sorted tuple of string labels plus the full
   reflexive-transitive ``leq`` matrix (numpy bool, frozen).  At the sizes
   this library targets, keeping the closed matrix beats recomputing
-  reachability.
+  reachability.  ``n`` and ``full_mask`` are plain attributes set at
+  construction, since the extension path reads them millions of times.
 * A presentation (labels plus generating inequalities) becomes a poset
   in one place, ``close_and_collapse``: the strongly connected components
   of the generating pairs are the elements, and their reachability
@@ -15,6 +16,10 @@ Conventions used throughout the package:
   relation of the domain.  Up-sets, down-sets and value sets are plain
   int bitmasks; value-set propagation and the adjoints work on those, not
   on matrix entries.
+* Joins are memoized: ``join_mask`` keeps each poset's answers keyed by
+  the mask of the elements joined, at most ``cache.BOUND`` of them, and a
+  map keeps its ``below`` table after the first call.  Both live and die
+  with their object.
 * Hom-sets are locally thin: a 2-cell between parallel maps exists exactly
   when the source is pointwise below the target, and carries no data.
   ``TwoCell`` therefore only records its boundary.
@@ -31,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from . import config
+from . import cache, config
 from .errors import (
     CycleDetected,
     DuplicateLabel,
@@ -136,6 +141,9 @@ class Poset:
         mat = np.asarray(leq, dtype=bool).copy()
         mat.setflags(write=False)
         self.leq = mat
+        self.n = len(self.elements)
+        self.full_mask = (1 << self.n) - 1
+        self._joins: dict = {}
         if validate:
             self.validate()
 
@@ -157,10 +165,6 @@ class Poset:
             raise ValueError("leq is not transitively closed")
 
     # -- basic access ----------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -196,10 +200,6 @@ class Poset:
     @cached_property
     def down_masks(self) -> list:
         return _row_masks(self.leq.T)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     @cached_property
     def cover_pairs(self) -> tuple:
@@ -289,12 +289,27 @@ class Poset:
                 return i
         return None
 
+    def join_mask(self, vmask: int) -> Optional[int]:
+        """Least upper bound of the elements whose bits are set in vmask
+        (the least element for 0); None when it does not exist.  Answers
+        are memoized per poset, keyed by the mask; a new one is stored
+        while fewer than ``cache.BOUND`` are, which covers every mask of
+        a poset with at most 10 elements."""
+        try:
+            return self._joins[vmask]
+        except KeyError:
+            pass
+        upper = self.full_mask
+        for i in _bits(vmask):
+            upper &= self.up_masks[i]
+        j = self.least_of(upper)
+        if len(self._joins) < cache.BOUND:
+            self._joins[vmask] = j
+        return j
+
     def join_of(self, indices: Iterable[int]) -> Optional[int]:
         """Least upper bound of the given elements; None when it does not exist."""
-        upper = self.full_mask
-        for i in indices:
-            upper &= self.up_masks[i]
-        return self.least_of(upper)
+        return self.join_mask(sum(1 << i for i in set(indices)))
 
     def dual(self) -> "Poset":
         return Poset(self.elements, self.leq.T, validate=False)
@@ -369,13 +384,14 @@ class Poset:
 class MonotoneMap:
     """Order-preserving map between posets, stored as an index assignment."""
 
-    __slots__ = ("dom", "cod", "assignment", "_key")
+    __slots__ = ("dom", "cod", "assignment", "_key", "_below")
 
     def __init__(self, dom: Poset, cod: Poset, assignment: Sequence[int], validate: bool = True):
         self.dom = dom
         self.cod = cod
         self.assignment = tuple(int(a) for a in assignment)
         self._key = None
+        self._below = None
         if validate:
             if len(self.assignment) != dom.n:
                 raise ValueError("assignment length mismatch")
@@ -406,6 +422,16 @@ class MonotoneMap:
         return {
             self.dom.elements[i]: self.cod.elements[a] for i, a in enumerate(self.assignment)
         }
+
+    def below(self) -> tuple:
+        """below()[b] lists the a of dom with self(a) <= b, for each b of
+        cod; built on the first call and kept on the map."""
+        if self._below is None:
+            ups = [self.cod.up_masks[v] for v in self.assignment]
+            self._below = tuple(
+                tuple(a for a, up in enumerate(ups) if up >> b & 1) for b in range(self.cod.n)
+            )
+        return self._below
 
     def key(self) -> tuple:
         if self._key is None:

@@ -2,6 +2,7 @@ import pytest
 
 from kaninj import (
     MonotoneMap,
+    all_posets,
     antichain,
     bottom_map,
     chain,
@@ -92,6 +93,22 @@ def test_is_dense_matches_brute():
     ]
     for f in cases:
         assert is_dense(f) == brute_dense(f), f.assignment
+
+
+def test_below_matches_definition_and_is_built_once():
+    checked = 0
+    for dom in all_posets(3):
+        for cod in all_posets(3):
+            for h in enumerate_monotone(dom, cod):
+                want = tuple(
+                    tuple(a for a in range(dom.n) if cod.leq[h.assignment[a], b])
+                    for b in range(cod.n)
+                )
+                below = h.below()
+                assert below == want
+                assert h.below() is below
+                checked += 1
+    assert checked > 100
 
 
 def test_preserves_kan_requires_strong_endpoints():

@@ -21,6 +21,7 @@ from kaninj import (
     two_cell_exists,
     vee,
 )
+from kaninj import cache
 from kaninj.errors import CycleDetected, NotMonotone, NotParallel
 from kaninj.poset import (
     TwoCell,
@@ -420,6 +421,37 @@ def test_join_of():
     assert v.join_of([v.index["a"], v.index["b"]]) == top
     assert v.join_of([]) is None  # no bottom in V
     assert antichain(2).join_of([0, 1]) is None
+
+
+def brute_join(p, vmask: int):
+    """The least upper bound of the elements in vmask, read off leq."""
+    members = [i for i in range(p.n) if vmask >> i & 1]
+    upper = [u for u in range(p.n) if all(p.leq[i, u] for i in members)]
+    least = [u for u in upper if all(p.leq[u, v] for v in upper)]
+    return least[0] if least else None
+
+
+def test_join_mask_matches_definition():
+    for p in all_posets(5):
+        for vmask in range(1 << p.n):
+            assert p.join_mask(vmask) == brute_join(p, vmask), (p, vmask)
+            assert p.join_mask(vmask) == brute_join(p, vmask)  # from the memo
+
+
+def test_join_mask_memo_is_bounded():
+    a = antichain(12)
+    p = Poset(a.elements, a.leq)  # a fresh memo
+    masks = range(1 << p.n)
+    assert len(masks) > cache.BOUND
+    for vmask in masks:
+        want = vmask.bit_length() - 1 if vmask.bit_count() == 1 else None
+        assert p.join_mask(vmask) == want
+        assert len(p._joins) <= cache.BOUND
+    assert len(p._joins) == cache.BOUND
+    for vmask in reversed(masks):  # past the bound, answers are still computed
+        want = vmask.bit_length() - 1 if vmask.bit_count() == 1 else None
+        assert p.join_mask(vmask) == want
+    assert len(p._joins) == cache.BOUND
 
 
 def test_is_order_iso():
