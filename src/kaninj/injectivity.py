@@ -145,24 +145,20 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int
     is preserved.  Any other row, a missing join or a mismatch, falls
     back to comparing p∘ext with left_kan(p∘f, h).  NotComposable when
     the table is not into p.dom, checked on the first row, and
-    DomainMismatch when f and h have different domains, checked once
-    per class map: the errors composing and left_kan raise.
+    DomainMismatch when f and h have different domains, checked on
+    every row: the errors composing and left_kan raise.
     """
     if table and table[0][1].cod.key != p.dom.key:
         raise NotComposable("codomain/domain mismatch")
     pa = p.assignment
-    belows: dict = {}
     for hi, f, res in table:
-        below = belows.get(hi)
-        if below is None:
-            h = maps[hi]
-            if f.dom.key != h.dom.key:
-                raise DomainMismatch("left_kan needs f and h with a common domain")
-            below = belows[hi] = h.below()
-        joined = _span_join(p.cod, [pa[v] for v in f.assignment], below)
+        h = maps[hi]
+        if f.dom.key != h.dom.key:
+            raise DomainMismatch("left_kan needs f and h with a common domain")
+        joined = _span_join(p.cod, [pa[v] for v in f.assignment], h.below())
         if joined is not None and joined == [pa[v] for v in res.extension.assignment]:
             continue
-        if res.extension.then(p) != left_kan(f.then(p), maps[hi], cap=cap).extension:
+        if res.extension.then(p) != left_kan(f.then(p), h, cap=cap).extension:
             yield hi, f
 
 
