@@ -4,8 +4,13 @@
 "least" globally: when the candidates only have several incomparable
 minimal elements, the extension does not exist.  A pointwise join formula
 is used when every needed join exists (and is provably the least candidate
-then); otherwise the candidate set is searched outright.  The two routes
-agree wherever both apply, which the test-suite checks independently.
+then); otherwise it reads the exact set of values the candidates take at
+each point (``monotone_value_sets``) and takes the least of each, which
+is the least candidate whenever every set has a least element.  Both
+routes are checked against a brute-force oracle by the test-suite, the
+second also on targets where every join exists.  ``is_dense(f)`` is
+``left_kan(f, f)`` compared with the identity.
+
 The pointwise route is ``_span_join`` on plain tuples, shared with the
 preservation check in ``injectivity`` and with ``extend_along_unit``:
 along h it reads the map's memoized ``MonotoneMap.below`` table, and each
@@ -148,7 +153,13 @@ def _lower_from(f: MonotoneMap, h: MonotoneMap) -> dict:
 
 def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanResult:
     """Least g: cod(h) -> cod(f) with f <= g∘h, together with strictness
-    (whether g∘h equals f on the nose)."""
+    (whether g∘h equals f on the nose).
+
+    Without every pointwise join, g exists exactly when the set of
+    values the candidates take at each b has a least element, and is
+    then that map: a least candidate takes the least value everywhere,
+    and the least values are monotone because, for b <= b', a candidate
+    taking the least value at b' bounds the least value at b."""
     if f.dom.key != h.dom.key:
         raise DomainMismatch("left_kan needs f and h with a common domain")
     apr, x = h.cod, f.cod
@@ -159,40 +170,22 @@ def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanRe
         strict = tuple(assign[v] for v in h.assignment) == f.assignment
         return KanResult(True, g0, strict, "pointwise")
 
-    lower = _lower_from(f, h)
-    mins: list = []
-    for s in iter_monotone_assignments(apr, x, lower=lower, cap=cap):
-        if any(all(x.leq[m[i], s[i]] for i in range(apr.n)) for m in mins):
-            continue
-        mins = [m for m in mins if not all(x.leq[s[i], m[i]] for i in range(apr.n))]
-        mins.append(s)
-    if len(mins) != 1:
-        return KanResult(False, None, False, "search")
-    g = MonotoneMap(apr, x, mins[0], validate=False)
-    strict = tuple(mins[0][v] for v in h.assignment) == f.assignment
-    return KanResult(True, g, strict, "search")
+    sets = monotone_value_sets(apr, x, lower=_lower_from(f, h), cap=cap)
+    least = None if sets is None else [x.least_of(m) for m in sets]
+    if least is None or None in least:
+        return KanResult(False, None, False, "value_sets")
+    g = MonotoneMap(apr, x, least, validate=False)
+    strict = tuple(least[v] for v in h.assignment) == f.assignment
+    return KanResult(True, g, strict, "value_sets")
 
 
 def is_dense(f: MonotoneMap) -> bool:
     """Whether the identity is the least g with f <= g∘f, i.e. whether
-    (identity, identity 2-cell) is the left Kan extension of f along f."""
-    y = f.cod
-    image = sorted(set(f.assignment))
-    image_mask = sum(1 << w for w in image)
-    assign = []
-    for v in range(y.n):
-        j = y.join_mask(image_mask & y.down_masks[v])
-        if j is None:
-            assign = None
-            break
-        assign.append(j)
-    if assign is not None:
-        return assign == list(range(y.n))
-    # no pointwise candidate: check that every competing g lies above id
-    sets = monotone_value_sets(y, y, lower={w: [w] for w in image})
-    if sets is None:  # unreachable: the identity always competes
-        return False
-    return all(sets[v] & ~y.up_masks[v] == 0 for v in range(y.n))
+    (identity, identity 2-cell) is the left Kan extension of f along f.
+    The identity is always a candidate, so this holds exactly when each
+    v is the least value any candidate takes at v."""
+    r = left_kan(f, f)
+    return r.exists and r.extension == MonotoneMap.identity(f.cod)
 
 
 def beck_chevalley(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> bool:

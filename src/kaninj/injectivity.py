@@ -19,8 +19,10 @@ map's memoized ``below`` table, and falls back to ``left_kan`` only for
 a row where a join is missing or disagrees.
 
 ``is_injective`` and ``is_weakly_injective`` share one scan and one
-adjoint cross-check, decide from scratch every time and return the
-evidence.  The ``is_injective`` report, without its witnesses, is kept
+adjoint cross-check, which builds one adjoint per class map h: the
+restriction map m = hom(h, x) must have a left adjoint t, with m∘t = id
+for the strong verdict.  Both decide from scratch every time and return
+the evidence.  The ``is_injective`` report, without its witnesses, is kept
 once per (poset, class maps, effective cap) in a bounded cache:
 ``verdict`` returns its verdict string, so a caller that only needs to
 know whether a target is strong, such as ``extend_along_unit`` on every
@@ -47,13 +49,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .hom import _restriction, _span_join, hom_poset, left_kan
-from .poset import (
-    MonotoneMap,
-    Poset,
-    classify_adjoint,
-    enumerate_monotone,
-    left_adjoint,
-)
+from .poset import MonotoneMap, Poset, enumerate_monotone, left_adjoint
 
 __all__ = [
     "InjectivityReport",
@@ -178,9 +174,10 @@ def _decide(x: Poset, klass: MapClass, cap: Optional[int], strong: bool) -> Inje
     """The scan and cross-check behind both object verdicts.
 
     With strong, x holds along h when every extension exists and is
-    strict, and the cross-check asks for the restriction map to be a
-    rali; without, existence is enough and the cross-check asks for a
-    left adjoint.
+    strict, and the cross-check asks for the restriction map m to be a
+    rali: a left adjoint t with m∘t = id (``t.then(m)`` the identity);
+    without, existence is enough and the cross-check asks for a left
+    adjoint.
     """
     table = _extensions(x, klass.maps, cap)
     failures = tuple((hi, f, "no least extension") for hi, f, res in table if not res.exists)
@@ -198,7 +195,8 @@ def _decide(x: Poset, klass: MapClass, cap: Optional[int], strong: bool) -> Inje
         m = _small_precompose(h, x)
         if m is None:
             continue
-        adjoint = classify_adjoint(m).is_rali if strong else left_adjoint(m) is not None
+        t = left_adjoint(m)
+        adjoint = t is not None and (not strong or t.then(m) == MonotoneMap.identity(m.cod))
         agree = adjoint == held[hi]
         cross = agree if cross is None else (cross and agree)
     return InjectivityReport(_subject(x), verdict, table, failures, cross)

@@ -307,10 +307,6 @@ class Poset:
             self._joins[vmask] = j
         return j
 
-    def join_of(self, indices: Iterable[int]) -> Optional[int]:
-        """Least upper bound of the given elements; None when it does not exist."""
-        return self.join_mask(sum(1 << i for i in set(indices)))
-
     def dual(self) -> "Poset":
         return Poset(self.elements, self.leq.T, validate=False)
 

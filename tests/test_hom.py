@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from kaninj import (
@@ -17,28 +19,56 @@ from kaninj import (
     preserves_kan,
     vee,
 )
+from kaninj import hom
 from kaninj.errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
 from kaninj.hom import beck_chevalley, clear_caches, hom_poset, postcompose, precompose
 
 from oracles import brute_dense, brute_kan, brute_monotone
 
 
-def test_left_kan_matches_brute_everywhere():
-    """Grid sweep: every f into every small target, along both shapes."""
+def _kan_route(f, h):
+    """left_kan(f, h) checked against the brute-force oracle; its route."""
+    got = left_kan(f, h)
+    exists, least, strict = brute_kan(tuple(f.assignment), h, f.cod)
+    assert got.exists == exists, (f, h)
+    if exists:
+        assert tuple(got.extension.assignment) == least, (f, h)
+        assert got.strict == strict, (f, h)
+    return got.method
+
+
+def test_left_kan_matches_brute_everywhere(monkeypatch):
+    """Grid sweep: every f into every small target, along both shapes;
+    a second pass without pointwise joins sends every row to value sets."""
     hs = [bottom_map(), join_map(), MonotoneMap(chain(2), chain(3), [0, 1])]
     targets = [empty(), point(), chain(2), antichain(2), vee(), diamond(), chain(3)]
-    checked = 0
-    for h in hs:
-        for x in targets:
-            for f in enumerate_monotone(h.dom, x):
-                got = left_kan(f, h)
-                exists, least, strict = brute_kan(tuple(f.assignment), h, x)
-                assert got.exists == exists
-                if exists:
-                    assert tuple(got.extension.assignment) == least
-                    assert got.strict == strict
-                checked += 1
-    assert checked > 50
+    for joins in (True, False):
+        if not joins:
+            monkeypatch.setattr(hom, "_span_join", lambda *args: None)
+        routes = Counter(
+            _kan_route(f, h)
+            for h in hs
+            for x in targets
+            for f in enumerate_monotone(h.dom, x)
+        )
+        assert sum(routes.values()) > 50
+        assert joins or set(routes) == {"value_sets"}
+
+
+def test_left_kan_matches_brute_along_cyclic_targets():
+    """Every h into a 4-element poset whose cover graph has a cycle, where
+    value sets are certified by search, and every f into a small poset."""
+    cyclic = [b for b in all_posets(4) if b.n == 4 and not b.cover_forest]
+    assert len(cyclic) == 2  # the diamond and the 2+2 bowtie
+    routes = Counter(
+        _kan_route(f, h)
+        for b in cyclic
+        for a in all_posets(2)
+        for h in enumerate_monotone(a, b)
+        for x in all_posets(3)
+        for f in enumerate_monotone(a, x)
+    )
+    assert routes["value_sets"] > 0
 
 
 def test_left_kan_requires_common_domain():
@@ -93,6 +123,13 @@ def test_is_dense_matches_brute():
     ]
     for f in cases:
         assert is_dense(f) == brute_dense(f), f.assignment
+    missing_join = Counter()
+    for a in all_posets(3):
+        for y in all_posets(4):
+            for f in enumerate_monotone(a, y):
+                assert is_dense(f) == brute_dense(f), f
+                missing_join[hom._span_join(y, f.assignment, f.below()) is None] += 1
+    assert missing_join[True] and missing_join[False]
 
 
 def test_below_matches_definition_and_is_built_once():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from kaninj import (
@@ -223,13 +221,8 @@ def test_map_verdict_decides_each_endpoint_once(monkeypatch):
 
 
 def test_cached_verdict_raises_on_cross_check_disagreement(monkeypatch):
-    classify = injectivity.classify_adjoint
-
-    def flipped(m):
-        flags = classify(m)
-        return dataclasses.replace(flags, is_rali=not flags.is_rali)
-
-    monkeypatch.setattr(injectivity, "classify_adjoint", flipped)
+    # with no left adjoint, the cross-check reads vee's strong verdict as wrong
+    monkeypatch.setattr(injectivity, "left_adjoint", lambda m: None)
     clear_caches()
     with pytest.raises(PostconditionFailed):
         verdict(vee(), class_join())
@@ -271,6 +264,10 @@ def test_strong_objects_counts():
 def test_adjoint_cross_check_populated():
     rep = is_injective(vee(), class_join())
     assert rep.cross_check is True
+    for klass in list(standard_classes()) + [collapse_class()]:
+        for x in all_posets(4):
+            assert is_injective(x, klass).cross_check is True, (klass.name, x.elements)
+            assert is_weakly_injective(x, klass).cross_check is True, (klass.name, x.elements)
 
 
 def test_verdict_matches_is_injective():

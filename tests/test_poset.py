@@ -418,9 +418,9 @@ def test_all_posets_no_duplicate_classes():
 def test_join_of():
     v = vee()
     top = v.index["top"]
-    assert v.join_of([v.index["a"], v.index["b"]]) == top
-    assert v.join_of([]) is None  # no bottom in V
-    assert antichain(2).join_of([0, 1]) is None
+    assert v.join_mask(1 << v.index["a"] | 1 << v.index["b"]) == top
+    assert v.join_mask(0) is None  # no bottom in V
+    assert antichain(2).join_mask(0b11) is None
 
 
 def brute_join(p, vmask: int):
