@@ -6,12 +6,13 @@ add the stated identifications and inserted inequalities as generating
 pairs, and hand the presentation to ``poset.close_and_collapse``, which
 collapses each strongly connected component of the pairs to one element
 and orders the elements by reachability.  The pairs travel as one
-integer index array from the caller to the closure; ``gen_pairs`` is
-built from it once.  Each result
-keeps its generating presentation (labels, pairs, collapse map), from
-which ``verify_universal`` proves the universal property: the order
-pulled back to the generators must be the reachability of the
-generating pairs, computed there without the closure code.
+integer index array from the caller to the closure, and the result
+keeps that array; the tuple ``gen_pairs`` is built from it only when
+something reads it.  Each result keeps its generating presentation
+(labels, pairs, collapse map), from which ``verify_universal`` proves
+the universal property: the order pulled back to the generators must be
+the reachability of the generating pairs, computed there without the
+closure code.
 
 Element identity is tracked by provenance labels "tag:original" so that a
 glued element names where it came from; classes are named after their
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,16 +48,33 @@ def record_colimits():
 
 @dataclass(frozen=True)
 class ColimitResult:
-    """A computed colimit together with its generating presentation."""
+    """A computed colimit together with its generating presentation.
+
+    ``pairs`` is the read-only (m, 2) intp array of generating pairs,
+    indices into ``gen_labels``; ``gen_pairs`` is the same pairs as a
+    tuple of int tuples, built on first read.  Equality compares the
+    pairs too."""
 
     kind: str
     object: Poset
     injections: tuple
     tags: tuple
     gen_labels: tuple
-    gen_pairs: tuple
+    pairs: np.ndarray = field(compare=False)
     collapse: tuple
     two_cell: Optional[TwoCell] = field(default=None, compare=False)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            getattr(self, f.name) == getattr(other, f.name)
+            for f in dataclasses.fields(self) if f.compare
+        ) and np.array_equal(self.pairs, other.pairs)
+
+    @cached_property
+    def gen_pairs(self) -> tuple:
+        return tuple(zip(*self.pairs.T.tolist()))
 
     @property
     def piece_offsets(self) -> tuple:
@@ -81,7 +100,10 @@ def glue(
 
     The generating pairs are, in order: each piece's cover pairs, the
     ineq pairs, then each eq pair followed by its reverse, all as indices
-    into ``gen_labels`` (the pieces laid end to end)."""
+    into ``gen_labels`` (the pieces laid end to end).  They are built
+    once, as the index array that ``close_and_collapse`` reads and the
+    result keeps as ``pairs``; no tuple is made per pair unless
+    ``gen_pairs`` is read."""
     tags = tuple(tag for tag, _ in pieces)
     if len(set(tags)) != len(tags):
         raise ValueError("piece tags must be distinct")
@@ -115,10 +137,10 @@ def glue(
             if not (0 <= pi < len(posets) and 0 <= ei < posets[pi].n)
         )
         raise ValueError(f"glue index {bad} is outside the pieces")
-    cover = [(o + i, o + j) for o, p in zip(offsets, posets) for i, j in p.cover_pairs]
+    # flat cover pair ends, so no tuple per pair
+    cover = [o + v for o, p in zip(offsets, posets) for pair in p.cover_pairs for v in pair]
     ends = np.concatenate([np.array(cover, dtype=np.intp).reshape(-1, 2), (start + elem).reshape(-1, 2)])
-    src, dst = ends.T.tolist()
-    gen_pairs = tuple(zip(src, dst))
+    ends.setflags(write=False)
 
     obj, collapse = close_and_collapse(gen_labels, ends)
     injections = tuple(
@@ -131,7 +153,7 @@ def glue(
         injections=injections,
         tags=tags,
         gen_labels=gen_labels,
-        gen_pairs=gen_pairs,
+        pairs=ends,
         collapse=collapse,
     )
     for bucket in _RECORDERS:

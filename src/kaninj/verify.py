@@ -298,10 +298,10 @@ def suite_colimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
     sampled = _sample_colimits(cap)
     if mutate:
         victim = max(
-            (r for r in sampled if r.gen_pairs),
-            key=lambda r: len(r.gen_pairs),
+            (r for r in sampled if len(r.pairs)),
+            key=lambda r: len(r.pairs),
         )
-        sampled = [dataclasses.replace(victim, gen_pairs=victim.gen_pairs[:-1])]
+        sampled = [dataclasses.replace(victim, pairs=victim.pairs[:-1])]
     for k, res in enumerate(sampled):
         rep = verify_universal(res)
         checks.append(Check(f"universal[{k}:{res.kind}]", rep.ok, rep.failure or ""))

@@ -13,8 +13,9 @@ completion: with unit d, the map phi(r) = {x : d(x) <= r} is an
 order-isomorphism from the reflection onto the down-sets of
 antichain(n), all 2^n subsets.  It prints each run's time and the peak
 RSS of the process after it; sizes run in ascending order, so that is
-the peak of the run just printed.  Exit status 0 when all hold, 1
-otherwise.  Run from the repository root, optionally naming sizes:
+the peak of the run just printed, and it fails when that peak passes
+the size's ceiling in ``PEAK_RSS_CEILING_MB``.  Exit status 0 when all
+hold, 1 otherwise.  Run from the repository root, optionally naming sizes:
 
     PYTHONPATH=src python tests/reflect_antichain.py [6] [7]
 """
@@ -40,6 +41,12 @@ EXPECTED = {
         "9edf68e3f283f7964187fb4033beb1089747674c4dba30ed676529231a9c6c68",
     ),
 }
+
+# n -> most MB of peak RSS allowed after reflecting antichain(n): about
+# 25 % above 115 and 803 MB, measured on x86-64 Linux with colimit
+# generating pairs kept as one index array (1353 MB for antichain(7)
+# when glue built a tuple per pair).
+PEAK_RSS_CEILING_MB = {6: 144, 7: 1024}
 
 
 def down_sets(x) -> set:
@@ -84,6 +91,8 @@ def check(n: int) -> list:
         failures.append(f"{r.reflected.n} elements, expected {elements}")
     if digest != expected_digest:
         failures.append(f"chain digest {digest}, expected {expected_digest}")
+    if rss_mb > PEAK_RSS_CEILING_MB[n]:
+        failures.append(f"peak RSS {rss_mb:.0f} MB, ceiling {PEAK_RSS_CEILING_MB[n]} MB")
     if r.converged:
         bad = closed_form_failure(x, r)
         if bad:

@@ -202,7 +202,7 @@ def test_verify_universal_healthy_and_mutated():
     res = pushout(f, h)
     rep = verify_universal(res)
     assert rep.ok
-    broken = dataclasses.replace(res, gen_pairs=res.gen_pairs[:-1])
+    broken = dataclasses.replace(res, pairs=res.pairs[:-1])
     rep2 = verify_universal(broken)
     assert not rep2.ok
     assert rep2.failure == "cocone not constant on class of 1:c1"
@@ -229,9 +229,9 @@ def test_single_pair_drop_reports_are_pinned():
             seen.setdefault((r.kind, r.gen_labels, r.gen_pairs, r.object.key), r)
     h = hashlib.sha256()
     for r in seen.values():
-        for k in range(len(r.gen_pairs)):
-            kept = r.gen_pairs[:k] + r.gen_pairs[k + 1 :]
-            rep = verify_universal(dataclasses.replace(r, gen_pairs=kept))
+        for k in range(len(r.pairs)):
+            kept = np.delete(r.pairs, k, axis=0)
+            rep = verify_universal(dataclasses.replace(r, pairs=kept))
             h.update(json.dumps([rep.ok, rep.failure]).encode())
     assert h.hexdigest() == SINGLE_DROP_REPORTS
 
@@ -249,7 +249,7 @@ def test_verify_universal_refutes_a_large_broken_presentation():
     kept = res.gen_pairs[1:]
     _, leq, collapse = brute_close_and_collapse(res.gen_labels, kept)
     assert leq != res.object.leq.tolist()
-    rep = verify_universal(dataclasses.replace(res, gen_pairs=kept))
+    rep = verify_universal(dataclasses.replace(res, pairs=res.pairs[1:]))
     assert not rep.ok
     assert rep.failure == "mediating map not monotone"
 
@@ -357,7 +357,34 @@ def test_verify_universal_matches_reference(g, data):
         and leq == res.object.leq.tolist()
         and collapse == res.collapse
     )
-    assert verify_universal(dataclasses.replace(res, gen_pairs=kept)).ok == same
+    dropped = dataclasses.replace(res, pairs=res.pairs[np.array(keep, dtype=bool)])
+    assert verify_universal(dropped).ok == same
+
+
+def test_gen_pairs_are_built_on_first_read():
+    with record_colimits() as log:
+        reflect(antichain(4), class_join())
+    assert log
+    assert not any("gen_pairs" in vars(r) for r in log)
+    for r in log:
+        first = r.gen_pairs
+        assert first == tuple(zip(*r.pairs.T.tolist()))
+        assert r.gen_pairs is first
+
+
+def test_gluings_differing_in_one_pair_are_unequal():
+    pieces = [("0", chain(2)), ("1", point())]
+    ineq = [((0, 0), (1, 0)), ((0, 1), (1, 0))]
+    res = glue("g", pieces, ineq_pairs=ineq)
+    assert res == glue("g", pieces, ineq_pairs=ineq)
+    # 0:c0 <= 1:pt follows from the other pairs, so only the pairs differ
+    assert res.gen_pairs == ((0, 1), (0, 2), (1, 2))
+    pairs = res.pairs.copy()
+    pairs[1] = (1, 2)
+    other = dataclasses.replace(res, pairs=pairs)
+    assert verify_universal(other).ok
+    assert other != res and res != other
+    assert other.gen_pairs != res.gen_pairs
 
 
 def test_record_colimits_captures():
