@@ -36,7 +36,7 @@ from .errors import (
     QuotientViolation,
     SquareDoesNotCommute,
 )
-from .hom import _span_join, is_dense, left_kan
+from .hom import _least_values, _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
 from .poset import MonotoneMap, Poset, _mask_rows, enumerate_monotone, value_sets_at
 
@@ -367,9 +367,9 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
     built on first use and kept on the result under the class's map keys.
 
     One entry per stage i < stages_used: (X_{i+1}, its cover pairs, the
-    connector's assignment, the spans recorded at stage i).  A span
-    is (record, h, f's assignment, the coprojection's assignment,
-    h.below()), whose entry b lists the a in dom(h) with h(a) <= b.  DomainMismatch
+    connector's assignment, the spans recorded at stage i).  A span is
+    (h, f's assignment, the coprojection's assignment, h.below()), whose
+    entry b lists the a in dom(h) with h(a) <= b.  DomainMismatch
     when a span's map is not in the class, or is not the map the span
     was recorded for: the class does not match the reflection.
     """
@@ -393,7 +393,7 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
                 f"its map {rec.h_index} is not the one the span at stage {rec.stage} used"
             )
         spans_at.setdefault(rec.stage, []).append(
-            (rec, h, rec.f.assignment, rec.coproj.assignment, h.below())
+            (h, rec.f.assignment, rec.coproj.assignment, h.below())
         )
     plan = tuple(
         (
@@ -441,18 +441,18 @@ def extend_along_unit(
     plan built once per reflection and class (``_extension_plan``) and
     kept on the result, so a call works on plain tuples.  Each witness
     value is the join in P of the values below it (``_span_join``);
-    only when such a join is missing does a span fall back to
-    ``left_kan``.  Each span's extension must restrict back to p_i∘f
-    exactly and each stage map must be monotone (NotMonotone
-    otherwise).  The result is the least extension of p along the unit
-    and restricts back to p exactly (both checked against the direct
-    Kan computation; PostconditionFailed otherwise).  DomainMismatch
-    when the class is not the one the reflection was built for.
+    only when such a join is missing does a span take the least of each
+    exact value set instead (``hom._least_values``), left_kan's other
+    route.  Each span's extension must restrict back to p_i∘f exactly
+    and each stage map must be monotone (NotMonotone otherwise).  The
+    result is the least extension of p along the unit and restricts
+    back to p exactly (both checked against the direct Kan computation;
+    PostconditionFailed otherwise).  DomainMismatch when the class is
+    not the one the reflection was built for.
     """
     if not result.converged:
         raise NotConverged("cannot extend along a unit that never stabilized")
-    state = result.trace
-    if p.dom.key != state.stages[0].key:
+    if p.dom.key != result.trace.stages[0].key:
         raise DomainMismatch("p must start at the base of the chain")
     if verdict(p.cod, klass, cap=cap) != "strong":
         raise NotInjectiveTarget("extension target is not strongly Kan-injective")
@@ -463,16 +463,12 @@ def extend_along_unit(
     for i, (nxt, cover_pairs, conn, spans) in enumerate(_extension_plan(result, klass)):
         values = [None] * nxt.n
         _put(values, conn, cur, i, nxt)
-        for rec, h, f, coproj, below in spans:
+        for h, f, coproj, below in spans:
             vals = [cur[a] for a in f]
             ext = _span_join(target, vals, below)
             if ext is None:
-                stage_map = MonotoneMap(state.stages[i], target, cur)
-                kan = left_kan(rec.f.then(stage_map), h, cap=cap)
-                ext = kan.extension.assignment if kan.exists and kan.strict else None
-            elif [ext[b] for b in h.assignment] != vals:
-                ext = None
-            if ext is None:
+                ext = _least_values(target, vals, h, cap)
+            if ext is None or [ext[b] for b in h.assignment] != vals:
                 raise PostconditionFailed(
                     f"span at stage {i} has no strict extension into the target"
                 )
@@ -543,30 +539,25 @@ class KZReport:
 def kz_laws(
     x: Poset,
     klass: MapClass,
-    max_steps: int = 16,
     cap: Optional[int] = None,
-    targets: Optional[tuple] = None,
-    max_maps: int = 1000,
     free_cap: int = 8,
 ) -> KZReport:
     """Check the KZ laws for one object; raises NotConverged when the
-    chain does not stabilize within max_steps.
+    chain does not stabilize within reflect's default of 16 steps.
 
-    targets defaults to all strong posets with at most 3 elements; maps
-    out of the reflection are enumerated in lexicographic order and
-    truncated at max_maps per target.  The free-algebra law reruns the
-    whole construction on the reflection, so it is skipped (None) when
-    the reflection has more than free_cap elements.
+    The targets are all strong posets with at most 3 elements; maps out
+    of the reflection are enumerated in lexicographic order and
+    truncated at 1000 per target.  The free-algebra law reruns the whole
+    construction on the reflection, so it is skipped (None) when the
+    reflection has more than free_cap elements.
     """
-    result = reflect(x, klass, max_steps=max_steps, cap=cap)
+    result = reflect(x, klass, cap=cap)
     if not result.converged:
         raise NotConverged("kz_laws needs a stabilized reflection")
     xs, d = result.reflected, result.unit
 
     law1 = is_dense(d)
 
-    if targets is None:
-        targets = strong_objects(3, klass, cap=cap)
     law2 = True
     checked = 0
     # the restriction identity quantifies over maps of the subcategory,
@@ -575,8 +566,8 @@ def kz_laws(
     # invariant, the targets by enumeration), so the check runs over one
     # extension table of the reflection.
     table = _extensions(xs, klass.maps, cap)
-    for tgt in targets:
-        for f in enumerate_monotone(xs, tgt, cap=cap)[:max_maps]:
+    for tgt in strong_objects(3, klass, cap=cap):
+        for f in enumerate_monotone(xs, tgt, cap=cap)[:1000]:
             if any(_unpreserved(f, klass.maps, table, cap)):
                 continue
             r = left_kan(d.then(f), d, cap=cap)
@@ -597,7 +588,7 @@ def kz_laws(
 
     law4 = None
     if xs.n <= free_cap:
-        again = reflect(xs, klass, max_steps=max_steps, cap=cap)
+        again = reflect(xs, klass, cap=cap)
         if not again.converged:
             law4 = False
         else:

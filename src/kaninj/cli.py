@@ -12,8 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 from .catalog import MapClass, all_posets
 from .chain import extend_along_unit, reflect
@@ -34,32 +32,7 @@ from .serialize import (
 )
 from .verify import SUITES, run_suite, witness_menu
 
-__all__ = ["RunConfig", "main", "console_main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of everything one invocation needs."""
-
-    command: str
-    paths: tuple = ()
-    cap: Optional[int] = None
-    size: int = 3
-    max_steps: int = 16
-    trace: bool = False
-    dot_dir: Optional[str] = None
-    dual: bool = False
-    weak: bool = False
-    mutate: bool = False
-    count: int = 0
-
-    def __post_init__(self):
-        if self.max_steps < 2 or self.max_steps % 2:
-            raise ValueError("--max-steps must be even and at least 2")
-        if self.cap is not None and self.cap <= 0:
-            raise ValueError("--cap must be positive")
-        if self.size <= 0:
-            raise ValueError("--size-cap must be positive")
+__all__ = ["main", "console_main"]
 
 
 def _load(path: str):
@@ -90,29 +63,29 @@ def _class(path: str, dual: bool) -> MapClass:
     return k
 
 
-def cmd_kan(cfg: RunConfig) -> int:
-    f = _map(cfg.paths[0], cfg.dual)
-    h = _map(cfg.paths[1], cfg.dual)
-    res = left_kan(f, h, cap=cfg.cap)
+def cmd_kan(args: argparse.Namespace) -> int:
+    f = _map(args.f, args.dual)
+    h = _map(args.h, args.dual)
+    res = left_kan(f, h, cap=args.cap)
     print(dumps(res.to_json()), end="")
     return 0 if res.exists else 1
 
 
-def cmd_dense(cfg: RunConfig) -> int:
-    f = _map(cfg.paths[0], cfg.dual)
+def cmd_dense(args: argparse.Namespace) -> int:
+    f = _map(args.f, args.dual)
     ok = is_dense(f)
     print(dumps({"dense": ok, "map": map_to_json(f)}), end="")
     return 0 if ok else 1
 
 
-def cmd_injective(cfg: RunConfig) -> int:
-    x = _poset(cfg.paths[0], cfg.dual)
-    klass = _class(cfg.paths[1], cfg.dual)
-    if cfg.weak:
-        rep = is_weakly_injective(x, klass, cap=cfg.cap)
+def cmd_injective(args: argparse.Namespace) -> int:
+    x = _poset(args.poset, args.dual)
+    klass = _class(args.klass, args.dual)
+    if args.weak:
+        rep = is_weakly_injective(x, klass, cap=args.cap)
         print(dumps(rep.to_json()), end="")
         return 0 if rep.weak else 1
-    rep = is_injective(x, klass, cap=cfg.cap)
+    rep = is_injective(x, klass, cap=args.cap)
     print(dumps(rep.to_json()), end="")
     if rep.strong:
         return 0
@@ -126,10 +99,10 @@ def _write_dot(directory: str, name: str, p: Poset) -> None:
         fh.write(poset_to_dot(p))
 
 
-def cmd_reflect(cfg: RunConfig) -> int:
-    x = _poset(cfg.paths[0], cfg.dual)
-    klass = _class(cfg.paths[1], cfg.dual)
-    result = reflect(x, klass, max_steps=cfg.max_steps, cap=cfg.cap)
+def cmd_reflect(args: argparse.Namespace) -> int:
+    x = _poset(args.poset, args.dual)
+    klass = _class(args.klass, args.dual)
+    result = reflect(x, klass, max_steps=args.max_steps, cap=args.cap)
     out = {
         "converged": result.converged,
         "stages_used": result.stages_used,
@@ -137,22 +110,22 @@ def cmd_reflect(cfg: RunConfig) -> int:
         "unit": map_to_json(result.unit),
         "stage_sizes": [s.n for s in result.trace.stages],
     }
-    if cfg.trace:
+    if args.trace:
         out["stages"] = [poset_to_json(s) for s in result.trace.stages]
         out["connectors"] = [map_to_json(c) for c in result.trace.connectors]
     print(dumps(out), end="")
-    if cfg.dot_dir:
+    if args.dot_dir:
         for i, s in enumerate(result.trace.stages):
-            _write_dot(cfg.dot_dir, f"stage{i}", s)
-        _write_dot(cfg.dot_dir, "reflected", result.reflected)
+            _write_dot(args.dot_dir, f"stage{i}", s)
+        _write_dot(args.dot_dir, "reflected", result.reflected)
     return 0 if result.converged else 4
 
 
-def cmd_extend(cfg: RunConfig) -> int:
-    p = _map(cfg.paths[0], cfg.dual)
-    klass = _class(cfg.paths[1], cfg.dual)
-    result = reflect(p.dom, klass, max_steps=cfg.max_steps, cap=cfg.cap)
-    ext = extend_along_unit(p, result, klass, cap=cfg.cap)
+def cmd_extend(args: argparse.Namespace) -> int:
+    p = _map(args.map, args.dual)
+    klass = _class(args.klass, args.dual)
+    result = reflect(p.dom, klass, max_steps=args.max_steps, cap=args.cap)
+    ext = extend_along_unit(p, result, klass, cap=args.cap)
     out = {
         "unit": map_to_json(result.unit),
         "extension": map_to_json(ext),
@@ -162,8 +135,8 @@ def cmd_extend(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_cone(cfg: RunConfig) -> int:
-    klass = _class(cfg.paths[0], cfg.dual)
+def cmd_cone(args: argparse.Namespace) -> int:
+    klass = _class(args.klass, args.dual)
     cones = []
     for h in klass:
         c, i, j, _rho = mapping_cone(h)
@@ -179,13 +152,13 @@ def cmd_cone(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_saturate(cfg: RunConfig) -> int:
-    klass = _class(cfg.paths[0], cfg.dual)
-    sample = all_posets(cfg.size)
+def cmd_saturate(args: argparse.Namespace) -> int:
+    klass = _class(args.klass, args.dual)
+    sample = all_posets(args.size)
     rows = []
     ok_all = True
     for w in witness_menu(klass):
-        ok = closure_check(w, klass, sample, cap=cfg.cap)
+        ok = closure_check(w, klass, sample, cap=args.cap)
         ok_all = ok_all and ok
         rows.append(
             {"recipe": w.recipe, "map": map_to_json(w.produced), "ok": ok}
@@ -194,16 +167,18 @@ def cmd_saturate(cfg: RunConfig) -> int:
     return 0 if ok_all else 1
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    rep = run_suite(cfg.paths[0], size=cfg.size, mutate=cfg.mutate, cap=cfg.cap)
+def cmd_verify(args: argparse.Namespace) -> int:
+    rep = run_suite(args.suite, size=args.size, mutate=args.mutate, cap=args.cap)
     print(dumps(rep.to_json()), end="")
     return 0 if rep.passed else 1
 
 
-def cmd_enumerate(cfg: RunConfig) -> int:
-    posets = all_posets(cfg.count)
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        raise ValueError("n must be nonnegative")
+    posets = all_posets(args.n)
     out = {
-        "max_elements": cfg.count,
+        "max_elements": args.n,
         "count": len(posets),
         "posets": [poset_to_json(p) for p in posets],
     }
@@ -211,21 +186,23 @@ def cmd_enumerate(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "kan": cmd_kan,
-    "dense": cmd_dense,
-    "injective": cmd_injective,
-    "reflect": cmd_reflect,
-    "extend": cmd_extend,
-    "cone": cmd_cone,
-    "saturate": cmd_saturate,
-    "verify": cmd_verify,
-    "enumerate": cmd_enumerate,
-}
+def _positive(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--cap", type=int, default=None,
+def _steps(text: str) -> int:
+    value = int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"must be even and at least 2, got {text}")
+    return value
+
+
+def _add_common(sp: argparse.ArgumentParser, run) -> None:
+    sp.set_defaults(run=run)
+    sp.add_argument("--cap", type=_positive, default=None,
                     help="search budget override (default: KANINJ_SIZE_CAP)")
     sp.add_argument("--dual", action="store_true",
                     help="order-reverse all inputs (right Kan injectivity)")
@@ -241,83 +218,58 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kan", help="least extension of f along h")
     sp.add_argument("f", help="JSON file for f")
     sp.add_argument("h", help="JSON file for h")
-    _add_common(sp)
+    _add_common(sp, cmd_kan)
 
     sp = sub.add_parser("dense", help="whether a map is dense")
     sp.add_argument("f", help="JSON file for the map")
-    _add_common(sp)
+    _add_common(sp, cmd_dense)
 
     sp = sub.add_parser("injective", help="injectivity verdict for a poset")
     sp.add_argument("poset", help="JSON file for the poset")
     sp.add_argument("klass", help="JSON file for the map class")
     sp.add_argument("--weak", action="store_true",
                     help="ask only for extension existence")
-    _add_common(sp)
+    _add_common(sp, cmd_injective)
 
     sp = sub.add_parser("reflect", help="run the reflection chain")
     sp.add_argument("poset", help="JSON file for the poset")
     sp.add_argument("klass", help="JSON file for the map class")
-    sp.add_argument("--max-steps", type=int, default=16, dest="max_steps")
+    sp.add_argument("--max-steps", type=_steps, default=16, dest="max_steps")
     sp.add_argument("--trace", action="store_true",
                     help="include every stage in the output")
     sp.add_argument("--dot", dest="dot_dir", default=None, metavar="DIR",
                     help="write Hasse diagrams of all stages to DIR")
-    _add_common(sp)
+    _add_common(sp, cmd_reflect)
 
     sp = sub.add_parser("extend", help="extend a map along the reflection unit")
     sp.add_argument("map", help="JSON file for p: X -> P, P strongly injective")
     sp.add_argument("klass", help="JSON file for the map class")
-    sp.add_argument("--max-steps", type=int, default=16, dest="max_steps")
-    _add_common(sp)
+    sp.add_argument("--max-steps", type=_steps, default=16, dest="max_steps")
+    _add_common(sp, cmd_extend)
 
     sp = sub.add_parser("cone", help="mapping cones of a class")
     sp.add_argument("klass", help="JSON file for the map class")
-    _add_common(sp)
+    _add_common(sp, cmd_cone)
 
     sp = sub.add_parser("saturate", help="closure-check generated witnesses")
     sp.add_argument("klass", help="JSON file for the map class")
-    sp.add_argument("--size-cap", type=int, default=3, dest="size",
+    sp.add_argument("--size-cap", type=_positive, default=3, dest="size",
                     help="corpus bound for the closure sample")
-    _add_common(sp)
+    _add_common(sp, cmd_saturate)
 
     sp = sub.add_parser("verify", help="run a named invariant suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--size-cap", type=int, default=3, dest="size",
+    sp.add_argument("--size-cap", type=_positive, default=3, dest="size",
                     help="corpus bound for the suite")
     sp.add_argument("--mutate", action="store_true",
                     help="corrupt the construction; the suite must fail")
-    _add_common(sp)
+    _add_common(sp, cmd_verify)
 
     sp = sub.add_parser("enumerate", help="all posets up to n elements")
     sp.add_argument("n", type=int)
-    _add_common(sp)
+    _add_common(sp, cmd_enumerate)
 
     return ap
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    paths = []
-    for name in ("f", "h", "poset", "map", "klass", "suite"):
-        val = getattr(args, name, None)
-        if val is not None:
-            paths.append(val)
-    n = getattr(args, "n", 0)
-    if args.command == "enumerate" and n < 0:
-        raise ValueError("n must be nonnegative")
-    size_cap()  # a malformed KANINJ_SIZE_CAP fails every command up front
-    return RunConfig(
-        command=args.command,
-        paths=tuple(paths),
-        cap=getattr(args, "cap", None),
-        size=getattr(args, "size", 3),
-        max_steps=getattr(args, "max_steps", 16),
-        trace=getattr(args, "trace", False),
-        dot_dir=getattr(args, "dot_dir", None),
-        dual=getattr(args, "dual", False),
-        weak=getattr(args, "weak", False),
-        mutate=getattr(args, "mutate", False),
-        count=n,
-    )
 
 
 def main(argv=None) -> int:
@@ -326,8 +278,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from(args)
-        return _DISPATCH[cfg.command](cfg)
+        size_cap()  # a malformed KANINJ_SIZE_CAP fails every command up front
+        return args.run(args)
     except NotConverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

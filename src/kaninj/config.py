@@ -1,10 +1,11 @@
 """Runtime knobs.
 
 The only global knob is the enumeration cap: a bound on the number of
-backtracking nodes any single monotone-map search may visit.  It guards the
-|X|^|A| blowup without punishing searches that prune well.  The environment
-variable KANINJ_SIZE_CAP overrides the default; a value that is not a
-positive integer is an error, not a silent fallback.
+backtracking nodes any single monotone-map search may visit (the
+searches that certify one ``monotone_value_sets`` call share one).  It
+guards the |X|^|A| blowup without punishing searches that prune well.
+The environment variable KANINJ_SIZE_CAP overrides the default; a value
+that is not a positive integer is an error, not a silent fallback.
 """
 
 import os

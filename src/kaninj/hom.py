@@ -11,10 +11,13 @@ routes are checked against a brute-force oracle by the test-suite, the
 second also on targets where every join exists.  ``is_dense(f)`` is
 ``left_kan(f, f)`` compared with the identity.
 
-The pointwise route is ``_span_join`` on plain tuples, shared with the
-preservation check in ``injectivity`` and with ``extend_along_unit``:
-along h it reads the map's memoized ``MonotoneMap.below`` table, and each
-join is a lookup in the target's memo by value mask (``Poset.join_mask``).
+Both routes work on plain tuples and are shared with the preservation
+check in ``injectivity`` and with ``extend_along_unit``: the pointwise
+route is ``_span_join``, which along h reads the map's memoized
+``MonotoneMap.below`` table and looks each join up in the target's memo
+by value mask (``Poset.join_mask``), and the value-set route is
+``_least_values``.  The callers keep the join inline and take the value
+sets only where a join is missing.
 
 Whether a poset is strong along a class, and whether a map preserves
 extensions, are decided in ``injectivity`` on top of ``left_kan``.
@@ -32,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cache import BoundedCache, clear_caches  # noqa: F401  (re-exported)
+from .cache import BoundedCache
 from .config import effective_cap
 from .errors import DomainMismatch, NotInjectiveContext
 from .poset import (
@@ -144,11 +147,17 @@ def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
     return out
 
 
-def _lower_from(f: MonotoneMap, h: MonotoneMap) -> dict:
+def _least_values(target: Poset, vals, h: MonotoneMap, cap: Optional[int]) -> Optional[list]:
+    """What _span_join answers when a join is missing: at each b of
+    cod(h), the least value that the monotone g: cod(h) -> target with
+    vals[a] <= g(h(a)) take at b (``monotone_value_sets``); None when a
+    set of values is empty or has no least element."""
     lower: dict = {}
-    for a_idx, ap_idx in enumerate(h.assignment):
-        lower.setdefault(ap_idx, []).append(f.assignment[a_idx])
-    return lower
+    for a, b in enumerate(h.assignment):
+        lower.setdefault(b, []).append(vals[a])
+    sets = monotone_value_sets(h.cod, target, lower=lower, cap=cap)
+    least = None if sets is None else [target.least_of(m) for m in sets]
+    return None if least is None or None in least else least
 
 
 def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanResult:
@@ -157,26 +166,20 @@ def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanRe
 
     Without every pointwise join, g exists exactly when the set of
     values the candidates take at each b has a least element, and is
-    then that map: a least candidate takes the least value everywhere,
-    and the least values are monotone because, for b <= b', a candidate
-    taking the least value at b' bounds the least value at b."""
+    then that map (``_least_values``): a least candidate takes the least
+    value everywhere, and the least values are monotone because, for
+    b <= b', a candidate taking the least value at b' bounds the least
+    value at b."""
     if f.dom.key != h.dom.key:
         raise DomainMismatch("left_kan needs f and h with a common domain")
-    apr, x = h.cod, f.cod
-
-    assign = _span_join(x, f.assignment, h.below())
-    if assign is not None:
-        g0 = MonotoneMap(apr, x, assign)
-        strict = tuple(assign[v] for v in h.assignment) == f.assignment
-        return KanResult(True, g0, strict, "pointwise")
-
-    sets = monotone_value_sets(apr, x, lower=_lower_from(f, h), cap=cap)
-    least = None if sets is None else [x.least_of(m) for m in sets]
-    if least is None or None in least:
-        return KanResult(False, None, False, "value_sets")
-    g = MonotoneMap(apr, x, least, validate=False)
-    strict = tuple(least[v] for v in h.assignment) == f.assignment
-    return KanResult(True, g, strict, "value_sets")
+    assign = _span_join(f.cod, f.assignment, h.below())
+    method = "pointwise"
+    if assign is None:
+        assign, method = _least_values(f.cod, f.assignment, h, cap), "value_sets"
+    if assign is None:
+        return KanResult(False, None, False, method)
+    strict = tuple(assign[v] for v in h.assignment) == f.assignment
+    return KanResult(True, MonotoneMap(h.cod, f.cod, assign), strict, method)
 
 
 def is_dense(f: MonotoneMap) -> bool:

@@ -13,10 +13,11 @@ strong along the class, and whether a map preserves extensions.
 its ``left_kan`` answer, and ``_unpreserved`` is the one preservation
 check over such a table; the map verdicts, ``preserves_kan``, the
 saturation closure checks and ``kz_laws`` all run it.  The check decides
-each row on plain tuples, with the pointwise join routine
-``hom._span_join`` that ``extend_along_unit`` also uses, over each class
-map's memoized ``below`` table, and falls back to ``left_kan`` only for
-a row where a join is missing or disagrees.
+each row on plain tuples with left_kan's two routes, which
+``extend_along_unit`` also uses: the pointwise join ``hom._span_join``
+over each class map's memoized ``below`` table, and, for a row where a
+join is missing, the least of each exact value set
+(``hom._least_values``).
 
 ``is_injective`` and ``is_weakly_injective`` share one scan and one
 adjoint cross-check, which builds one adjoint per class map h: the
@@ -48,7 +49,7 @@ from .errors import (
     PostconditionFailed,
     SizeCapExceeded,
 )
-from .hom import _restriction, _span_join, hom_poset, left_kan
+from .hom import _least_values, _restriction, _span_join, hom_poset, left_kan
 from .poset import MonotoneMap, Poset, enumerate_monotone, left_adjoint
 
 __all__ = [
@@ -134,15 +135,14 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int
     _extensions over maps, whose extension p does not carry onto the
     extension of p∘f.  Every extension into both endpoints must exist.
 
-    Each row is decided on plain tuples first: at each b of cod(h), the
-    join in p.cod of p(f(a)) over the a with h(a) <= b (``_span_join``),
-    against p(ext(b)).  When every join exists and they all agree, that
-    join map is exactly what left_kan(p∘f, h) would return, so the row
-    is preserved.  Any other row, a missing join or a mismatch, falls
-    back to comparing p∘ext with left_kan(p∘f, h).  NotComposable when
-    the table is not into p.dom, checked on the first row, and
-    DomainMismatch when f and h have different domains, checked on
-    every row: the errors composing and left_kan raise.
+    Each row is decided on plain tuples, by left_kan's routes for p∘f
+    along h: at each b of cod(h), the join in p.cod of p(f(a)) over the
+    a with h(a) <= b (``_span_join``), or, when a join is missing, the
+    least of each exact value set (``hom._least_values``).  The row is
+    preserved when that is p∘ext.  NotComposable when the table is not
+    into p.dom, checked on the first row, and DomainMismatch when f and
+    h have different domains, checked on every row: the errors composing
+    and left_kan raise.
     """
     if table and table[0][1].cod.key != p.dom.key:
         raise NotComposable("codomain/domain mismatch")
@@ -151,10 +151,11 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int
         h = maps[hi]
         if f.dom.key != h.dom.key:
             raise DomainMismatch("left_kan needs f and h with a common domain")
-        joined = _span_join(p.cod, [pa[v] for v in f.assignment], h.below())
-        if joined is not None and joined == [pa[v] for v in res.extension.assignment]:
-            continue
-        if res.extension.then(p) != left_kan(f.then(p), h, cap=cap).extension:
+        vals = [pa[v] for v in f.assignment]
+        joined = _span_join(p.cod, vals, h.below())
+        if joined is None:
+            joined = _least_values(p.cod, vals, h, cap)
+        if joined != [pa[v] for v in res.extension.assignment]:
             yield hi, f
 
 

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   relation of the domain.  Up-sets, down-sets and value sets are plain
   int bitmasks; value-set propagation and the adjoints work on those, not
   on matrix entries.
+* One backtracking search (``_search``) finds monotone maps, over a value
+  mask per element: ``iter_monotone_assignments`` enumerates with it, and
+  ``monotone_value_sets`` certifies each value with it, pinned at one
+  point, under one node budget per call.
 * Joins are memoized: ``join_mask`` keeps each poset's answers keyed by
   the mask of the elements joined, at most ``cache.BOUND`` of them, and a
   map keeps its ``below`` table after the first call.  Both live and die
@@ -227,29 +231,20 @@ class Poset:
 
     @cached_property
     def cover_forest(self) -> bool:
-        """True when the undirected cover graph is acyclic."""
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in self.cover_pairs:
-            ri, rj = find(i), find(j)
-            if ri == rj:
-                return False
-            parent[ri] = rj
-        return True
+        """True when the undirected cover graph is acyclic: a graph is a
+        forest exactly when it has one edge fewer than nodes per
+        component, and ``cover_trees`` holds each component's members."""
+        components = len({members for members, _ in self.cover_trees})
+        return len(self.cover_pairs) == self.n - components
 
     @cached_property
     def cover_trees(self) -> tuple:
         """trees[r] = (members, arcs) for r's component of the cover
         graph: members as a bitmask, arcs as (child, parent, child_below)
         with the parent one step nearer r.  Arcs are listed leaves first,
-        so each arc into a node comes before the arc out of it.  Meant
-        for a forest cover graph (``cover_forest``)."""
+        so each arc into a node comes before the arc out of it.  The arcs
+        span a tree of the component, which is all of it when the cover
+        graph is a forest (``cover_forest``)."""
         nbrs = [[] for _ in range(self.n)]
         for i, j in self.cover_pairs:
             nbrs[i].append((j, False))
@@ -563,6 +558,38 @@ def _lower_masks(a: Poset, x: Poset, lower: Optional[Mapping[int, Iterable[int]]
     return masks
 
 
+def _search(a: Poset, x: Poset, masks: Sequence[int], cap: int, spent: list):
+    """Yield the assignments of monotone maps a -> x that take a value in
+    masks[e] at each e.  Backtracks over a linear extension with bitmask
+    pruning, counting each value tried in spent[0], which the searches
+    of one call share; SizeCapExceeded once the count passes cap."""
+    n = a.n
+    order = a.topo_order
+    lower_cov = a.lower_covers
+    up = x.up_masks
+    assign = [0] * n
+
+    def rec(k: int):
+        if k == n:
+            yield tuple(assign)
+            return
+        e = order[k]
+        mask = masks[e]
+        for c in lower_cov[e]:
+            mask &= up[assign[c]]
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            mask ^= low
+            spent[0] += 1
+            if spent[0] > cap:
+                raise SizeCapExceeded(cap, n, x.n, spent[0])
+            assign[e] = v
+            yield from rec(k + 1)
+
+    yield from rec(0)
+
+
 def iter_monotone_assignments(
     a: Poset,
     x: Poset,
@@ -571,41 +598,10 @@ def iter_monotone_assignments(
 ):
     """Yield assignment tuples of monotone maps a -> x, optionally bounded
     below pointwise (``lower[i]`` lists elements of x that must lie below the
-    image of i).  Backtracks over a linear extension with bitmask pruning;
-    raises SizeCapExceeded when the visited-node budget is exhausted."""
+    image of i).  One ``_search`` with its own budget; raises
+    SizeCapExceeded when the visited-node budget is exhausted."""
     cap = config.effective_cap(cap)
-    n = a.n
-    if n == 0:
-        yield ()
-        return
-    if x.n == 0:
-        return
-    base = _lower_masks(a, x, lower)
-    order = a.topo_order
-    lower_cov = a.lower_covers
-    assign = [0] * n
-    visited = 0
-
-    def rec(k: int):
-        nonlocal visited
-        if k == n:
-            yield tuple(assign)
-            return
-        e = order[k]
-        mask = base[e]
-        for c in lower_cov[e]:
-            mask &= x.up_masks[assign[c]]
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            visited += 1
-            if visited > cap:
-                raise SizeCapExceeded(cap, n, x.n, visited)
-            assign[e] = v
-            yield from rec(k + 1)
-
-    yield from rec(0)
+    yield from _search(a, x, _lower_masks(a, x, lower), cap, [0])
 
 
 def enumerate_monotone(
@@ -641,16 +637,13 @@ def monotone_value_sets(
     map a -> x (respecting ``lower``) takes there; None when no map exists.
 
     Arc consistency over the cover constraints, which is exact when the
-    cover graph is a forest; otherwise each surviving value is certified by
-    an explicit extension search.  The certification searches of one call
-    share one budget of ``cap`` visited nodes (the configured size cap when
-    None) and raise SizeCapExceeded when it runs out.
+    cover graph is a forest.  Otherwise each surviving value v at i is
+    certified by the monotone search itself (``_search``), with the
+    domains pinned at i: v at i, below v under i, above v over i; the
+    first map it finds certifies v.  The certification searches of one
+    call share one budget of ``cap`` visited nodes (the configured size
+    cap when None) and raise SizeCapExceeded when it runs out.
     """
-    n = a.n
-    if n == 0:
-        return []
-    if x.n == 0:
-        return None
     cand = _lower_masks(a, x, lower)
     up, down = x.up_masks, x.down_masks
     pairs = a.cover_pairs
@@ -672,45 +665,18 @@ def monotone_value_sets(
         return cand
 
     cap = config.effective_cap(cap)
-    order = a.topo_order
-    lower_cov = a.lower_covers
-    visited = 0
-
-    def extendable(i: int, v: int) -> bool:
-        assign = [-1] * n
-
-        def rec(k: int) -> bool:
-            nonlocal visited
-            if k == n:
-                return True
-            e = order[k]
-            mask = cand[e]
-            if e == i:
-                mask &= 1 << v
-            else:
-                if a.leq[e, i]:
-                    mask &= x.down_masks[v]
-                if a.leq[i, e]:
-                    mask &= x.up_masks[v]
-            for c in lower_cov[e]:
-                mask &= x.up_masks[assign[c]]
-            for w in _bits(mask):
-                visited += 1
-                if visited > cap:
-                    raise SizeCapExceeded(cap, n, x.n, visited)
-                assign[e] = w
-                if rec(k + 1):
-                    return True
-            assign[e] = -1
-            return False
-
-        return rec(0)
-
+    spent = [0]
     exact = []
-    for i in range(n):
+    for i in range(a.n):
         m = 0
         for v in _bits(cand[i]):
-            if extendable(i, v):
+            pinned = list(cand)
+            for e in _bits(a.down_masks[i]):
+                pinned[e] &= down[v]
+            for e in _bits(a.up_masks[i]):
+                pinned[e] &= up[v]
+            pinned[i] = 1 << v
+            if next(_search(a, x, pinned, cap, spent), None) is not None:
                 m |= 1 << v
         if m == 0:
             return None

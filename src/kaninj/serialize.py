@@ -4,8 +4,9 @@ Poset files are {"elements": [...], "leq": [[a, b], ...]} where the pair
 list is any generating set of inequalities; the closure is implied and
 cover pairs are what gets written back.  Map files are {"dom": poset,
 "cod": poset, "map": {label: label}}; class files are {"name": ...,
-"maps": [map, ...]}.  All emission is deterministically ordered so equal
-inputs give byte-equal output.
+"maps": [map, ...]}.  Every label is a JSON string; anything else is
+malformed input (ValueError).  All emission is deterministically
+ordered so equal inputs give byte-equal output.
 """
 
 from __future__ import annotations
@@ -41,14 +42,16 @@ def _shape_error(msg: str) -> ValueError:
 def poset_from_json(data) -> Poset:
     if not isinstance(data, dict):
         raise _shape_error("expected an object")
-    if not isinstance(data.get("elements"), list):
-        raise _shape_error("'elements' must be a list")
+    elements = data.get("elements")
+    if not isinstance(elements, list) or any(not isinstance(e, str) for e in elements):
+        raise _shape_error("'elements' must be a list of labels")
     pairs = data.get("leq", [])
     if not isinstance(pairs, list) or any(
-        not isinstance(q, (list, tuple)) or len(q) != 2 for q in pairs
+        not isinstance(q, (list, tuple)) or len(q) != 2 or not all(isinstance(e, str) for e in q)
+        for q in pairs
     ):
-        raise _shape_error("'leq' must be a list of pairs")
-    return build_poset(data["elements"], [tuple(q) for q in pairs])
+        raise _shape_error("'leq' must be a list of pairs of labels")
+    return build_poset(elements, [tuple(q) for q in pairs])
 
 
 def map_to_json(m: MonotoneMap) -> dict:
@@ -62,6 +65,8 @@ def map_to_json(m: MonotoneMap) -> dict:
 def map_from_json(data) -> MonotoneMap:
     if not isinstance(data, dict) or not isinstance(data.get("map"), dict):
         raise ValueError("malformed map description: expected dom/cod/map")
+    if any(not isinstance(v, str) for v in data["map"].values()):
+        raise ValueError("malformed map description: 'map' values must be labels")
     dom = poset_from_json(data.get("dom"))
     cod = poset_from_json(data.get("cod"))
     try:

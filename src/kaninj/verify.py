@@ -40,10 +40,9 @@ from .colimits import (
 )
 from .errors import NotConverged
 from .hom import is_dense
-from .injectivity import is_injective_map, is_weakly_injective, mapping_cone, verdict
+from .injectivity import _subject, is_injective_map, is_weakly_injective, mapping_cone, verdict
 from .poset import (
     MonotoneMap,
-    Poset,
     TwoCell,
     enumerate_monotone,
     iter_monotone_assignments,
@@ -90,10 +89,6 @@ class SuiteReport:
         }
 
 
-def _name(x: Poset) -> str:
-    return "{" + ",".join(x.elements) + "}"
-
-
 def suite_kz(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
     """Laws of the induced KZ structure over every poset up to ``size``
     and every standard class.  Mutation replaces each reflection by a
@@ -101,7 +96,7 @@ def suite_kz(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> 
     checks = []
     for klass in standard_classes():
         for x in all_posets(size):
-            label = f"kz[{klass.name}]{_name(x)}"
+            label = f"kz[{klass.name}]{_subject(x)}"
             if mutate:
                 result = reflect(x, klass, cap=cap)
                 broken = coproduct([result.reflected, point("stray")])
@@ -208,7 +203,7 @@ def suite_cone(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -
             strong = verdict(x, cones, cap=cap) == "strong"
             checks.append(
                 Check(
-                    f"cone-obj[{klass.name}]{_name(x)}",
+                    f"cone-obj[{klass.name}]{_subject(x)}",
                     weak == strong,
                     f"weak={weak} cone-strong={strong}",
                 )
@@ -241,7 +236,7 @@ def suite_bilimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
         strong = [x for x in all_posets(size) if verdict(x, klass, cap=cap) == "strong"]
         for i, x in enumerate(strong):
             for y in strong[i:]:
-                label = f"prod[{klass.name}]{_name(x)}x{_name(y)}"
+                label = f"prod[{klass.name}]{_subject(x)}x{_subject(y)}"
                 if mutate:
                     wrong = coproduct([x, y]).object
                     checks.append(

@@ -184,6 +184,16 @@ def test_invalid_inputs(tmp_path, capsys):
     assert main(["injective", str(bad), klass]) == 2
     shapeless = write(tmp_path, "shapeless.json", {"elements": "oops"})
     assert main(["injective", shapeless, klass]) == 2
+    # a pair entry or a map value that is not a label is malformed input,
+    # not a "neither" verdict
+    capsys.readouterr()
+    listed = write(tmp_path, "listed.json", {"elements": ["a", "b"], "leq": [[["a"], "b"]]})
+    assert main(["injective", listed, klass]) == 2
+    assert "malformed poset description" in capsys.readouterr().err
+    f = map_to_json(MonotoneMap.identity(chain(2)))
+    f["map"] = {k: [v] for k, v in f["map"].items()}
+    assert main(["dense", write(tmp_path, "f.json", f)]) == 2
+    assert "malformed map description" in capsys.readouterr().err
 
 
 def test_bad_subcommand_and_suite(capsys):
@@ -195,6 +205,24 @@ def test_odd_max_steps_rejected(tmp_path, capsys):
     klass = write(tmp_path, "k.json", class_to_json(class_join()))
     x = write(tmp_path, "x.json", poset_to_json(antichain(2)))
     assert main(["reflect", x, klass, "--max-steps", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reflect", "x.json", "k.json", "--cap", "0"],
+        ["saturate", "k.json", "--size-cap", "0"],
+        ["verify", "kz", "--size-cap", "0"],
+        ["reflect", "x.json", "k.json", "--max-steps", "0"],
+        ["extend", "x.json", "k.json", "--max-steps", "0"],
+    ],
+)
+def test_nonpositive_options_rejected(tmp_path, capsys, argv):
+    write(tmp_path, "k.json", class_to_json(class_join()))
+    write(tmp_path, "x.json", poset_to_json(antichain(2)))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cap_cuts_search(tmp_path, capsys):

@@ -19,9 +19,9 @@ from kaninj import (
     preserves_kan,
     vee,
 )
-from kaninj import hom
+from kaninj import clear_caches, hom
 from kaninj.errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
-from kaninj.hom import beck_chevalley, clear_caches, hom_poset, postcompose, precompose
+from kaninj.hom import beck_chevalley, hom_poset, postcompose, precompose
 
 from oracles import brute_dense, brute_kan, brute_monotone
 

@@ -149,6 +149,38 @@ def test_cover_pairs_match_definition():
         assert p.cover_pairs == tuple(covers_by_definition(p))
 
 
+def has_cycle(n: int, edges) -> bool:
+    """Whether the undirected simple graph on range(n) has a cycle: a
+    depth-first search meets a seen node other than the one it came from."""
+    nbrs = [[] for _ in range(n)]
+    for i, j in edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, -1)]
+        while stack:
+            v, came = stack.pop()
+            for w in nbrs[v]:
+                if w == came:
+                    continue
+                if seen[w]:
+                    return True
+                seen[w] = True
+                stack.append((w, v))
+    return False
+
+
+def test_cover_forest_matches_definition():
+    shapes = list(all_posets(5)) + [chain(40), antichain(7)]
+    verdicts = [p.cover_forest for p in shapes]
+    assert verdicts == [not has_cycle(p.n, covers_by_definition(p)) for p in shapes]
+    assert True in verdicts and False in verdicts
+
+
 def random_presentation(rng, n: int, density: float) -> list:
     pairs = np.argwhere(rng.random((n, n)) < density)
     return [tuple(pair) for pair in rng.permutation(pairs).tolist()]
@@ -234,12 +266,42 @@ def test_composition_and_identity():
     assert MonotoneMap.identity(chain(2)).then(f) == f
 
 
+def bowtie():
+    """The 2+2 bowtie: a, b both below c and d, a 4-cycle of covers."""
+    return build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
+
+
+def brute_bounded(a, x, lower) -> list:
+    """brute_monotone(a, x) with lower[i] below the value at each i."""
+    return [
+        m
+        for m in brute_monotone(a, x)
+        if all(x.leq[v, m[i]] for i, vals in lower.items() for v in vals)
+    ]
+
+
+def random_lower(rng, a, x) -> dict:
+    lower = {}
+    for i in range(a.n):
+        if rng.random() < 0.5:
+            lower[i] = rng.sample(range(x.n), rng.randint(1, min(2, x.n)))
+    return lower
+
+
 def test_enumerate_monotone_matches_brute():
     shapes = [empty(), point(), chain(2), antichain(2), vee(), chain(3)]
     for a in shapes:
         for x in shapes:
             got = {tuple(m.assignment) for m in enumerate_monotone(a, x)}
             assert got == set(brute_monotone(a, x)), (a.elements, x.elements)
+    # domains whose cover graph has a cycle, under seeded lower bounds
+    rng = random.Random(5)
+    for a in [diamond(), bowtie()]:
+        for x in shapes + [diamond(), bowtie()]:
+            for trial in range(3):
+                lower = random_lower(rng, a, x) if trial and x.n else {}
+                got = [tuple(m.assignment) for m in enumerate_monotone(a, x, lower=lower)]
+                assert got == sorted(brute_bounded(a, x, lower)), (a.elements, x.elements, lower)
 
 
 def test_enumerate_monotone_lex_sorted():
@@ -278,12 +340,8 @@ def test_monotone_value_sets_match_enumeration():
     for a in shapes:
         for x in shapes:
             for trial in range(3):
-                lower = {}
-                if trial and x.n:
-                    for i in range(a.n):
-                        if rng.random() < 0.5:
-                            lower[i] = rng.sample(range(x.n), rng.randint(1, min(2, x.n)))
-                maps = list(iter_monotone_assignments(a, x, lower=lower))
+                lower = random_lower(rng, a, x) if trial and x.n else {}
+                maps = brute_bounded(a, x, lower)
                 sets = monotone_value_sets(a, x, lower=lower)
                 if not maps:
                     assert sets is None, (a.elements, x.elements, lower)
@@ -333,6 +391,13 @@ def test_monotone_value_sets_certification_is_capped():
     assert (err.cap, err.dom_n, err.cod_n, err.visited) == (1, 4, 3, 2)
     # every constant map exists, so each element takes every value
     assert monotone_value_sets(diamond(), chain(3)) == [0b111] * 4
+    # the searches of one call share one budget: 48 nodes in all here,
+    # and 64 for the bowtie into the diamond
+    for a, x, total in [(diamond(), chain(3), 48), (bowtie(), diamond(), 64)]:
+        with pytest.raises(SizeCapExceeded) as info:
+            monotone_value_sets(a, x, cap=total - 1)
+        assert info.value.visited == total
+        assert monotone_value_sets(a, x, cap=total) == [x.full_mask] * 4
 
 
 def test_value_sets_at_match_monotone_value_sets():

@@ -52,6 +52,11 @@ def test_malformed_inputs_raise():
         poset_from_json({"elements": "abc"})
     with pytest.raises(ValueError, match="list of pairs"):
         poset_from_json({"elements": ["a"], "leq": [["a"]]})
+    # labels are strings: nothing else is turned into one
+    with pytest.raises(ValueError, match="'elements' must be a list of labels"):
+        poset_from_json({"elements": [["a"], 7, None]})
+    with pytest.raises(ValueError, match="list of pairs of labels"):
+        poset_from_json({"elements": ["a", "b"], "leq": [[["a"], "b"]]})
     with pytest.raises(ValueError, match="expected dom/cod/map"):
         map_from_json({"dom": poset_to_json(chain(2))})
     with pytest.raises(ValueError, match="does not cover label"):
