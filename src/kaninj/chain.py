@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hom import _least_values, _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
-from .poset import MonotoneMap, Poset, _mask_rows, enumerate_monotone, value_sets_at
+from .poset import MonotoneMap, Poset, _mask_rows, enumerate_monotone, monotone_value_sets
 
 __all__ = [
     "SpanRecord",
@@ -102,10 +102,7 @@ class ChainState:
     def connector(self, i: int, j: int) -> MonotoneMap:
         """Composite x_{i,j}; x_{i,i} is the identity.  Composites of
         composites agree strictly, so all compositors are identities."""
-        m = MonotoneMap.identity(self.stages[i])
-        for k in range(i, j):
-            m = m.then(self.connectors[k])
-        return m
+        return MonotoneMap(self.stages[i], self.stages[j], self.assignments_to(j)[i], validate=False)
 
     def assignments_to(self, i: int) -> list:
         """out[j] = assignment of x_{j,i} for every j <= i, built in one
@@ -239,10 +236,10 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     forward; every admissible g has g(b) above it, and the set at b lies
     inside the up-set of the witness.  So per span the pass computes
     only whether an admissible g exists and the exact value set at each
-    point outside the image (``poset.value_sets_at``).  The premise is
-    checked on entry: SquareDoesNotCommute when some span's witness at
-    h(a) is not its floor at a.  ``cap`` bounds the value-set search
-    of a cod(h) whose cover graph is not a forest.
+    point outside the image (``poset.monotone_value_sets`` with those
+    points).  The premise is checked on entry: SquareDoesNotCommute when
+    some span's witness at h(a) is not its floor at a.  ``cap`` bounds
+    the value-set search of a cod(h) whose cover graph is not a forest.
 
     Quotienting can make further maps admissible (merging two witnesses
     creates upper bounds that did not exist before), so the constraint
@@ -293,14 +290,14 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
             lower: dict = {}
             for a in range(h.dom.n):
                 lower.setdefault(h.assignment[a], []).append(conn[floor[a]])
-            sets = value_sets_at(h.cod, cur, points, lower=lower, cap=cap)
+            sets = monotone_value_sets(h.cod, cur, lower=lower, cap=cap, points=points)
             if sets is None:
                 realized[si] = False
                 added_total.setdefault(si, 0)
                 continue
             realized[si] = True
             added = 0
-            for b, m in sets.items():
+            for b, m in zip(points, sets):
                 t = conn[witness[b]]
                 new = m & ~up[t]
                 if new:

@@ -5,11 +5,11 @@
 minimal elements, the extension does not exist.  A pointwise join formula
 is used when every needed join exists (and is provably the least candidate
 then); otherwise it reads the exact set of values the candidates take at
-each point (``monotone_value_sets``) and takes the least of each, which
-is the least candidate whenever every set has a least element.  Both
-routes are checked against a brute-force oracle by the test-suite, the
-second also on targets where every join exists.  ``is_dense(f)`` is
-``left_kan(f, f)`` compared with the identity.
+each point (``monotone_value_sets``, as the even step does) and takes
+the least of each, which is the least candidate whenever every set has
+a least element.  Both routes are checked against a brute-force oracle
+by the test-suite, the second also on targets where every join exists.
+``is_dense(f)`` is ``left_kan(f, f)`` compared with the identity.
 
 Both routes work on plain tuples and are shared with the preservation
 check in ``injectivity`` and with ``extend_along_unit``: the pointwise
@@ -61,21 +61,13 @@ class HomPoset:
     def __len__(self) -> int:
         return len(self.assignments)
 
-    def maps(self) -> list:
-        return [MonotoneMap(self.a, self.x, t, validate=False) for t in self.assignments]
-
     @cached_property
     def as_poset(self) -> Poset:
         m = len(self.assignments)
         width = max(3, len(str(max(m - 1, 0))))
         labels = [f"m{k:0{width}d}" for k in range(m)]
-        if m == 0:
-            return Poset(labels, np.zeros((0, 0), dtype=bool), validate=False)
-        arr = np.asarray(self.assignments, dtype=np.intp)
-        if arr.shape[1] == 0:
-            leq = np.ones((m, m), dtype=bool)
-        else:
-            leq = self.x.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
+        arr = np.asarray(self.assignments, dtype=np.intp).reshape(m, self.a.n)
+        leq = self.x.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
         return Poset(labels, leq, validate=False)
 
 
@@ -150,8 +142,9 @@ def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
 def _least_values(target: Poset, vals, h: MonotoneMap, cap: Optional[int]) -> Optional[list]:
     """What _span_join answers when a join is missing: at each b of
     cod(h), the least value that the monotone g: cod(h) -> target with
-    vals[a] <= g(h(a)) take at b (``monotone_value_sets``); None when a
-    set of values is empty or has no least element."""
+    vals[a] <= g(h(a)) take at b (``monotone_value_sets`` at every b, the
+    routine the even step asks at its points); None when a set of values
+    is empty or has no least element."""
     lower: dict = {}
     for a, b in enumerate(h.assignment):
         lower.setdefault(b, []).append(vals[a])

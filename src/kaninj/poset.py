@@ -18,8 +18,9 @@ Conventions used throughout the package:
   on matrix entries.
 * One backtracking search (``_search``) finds monotone maps, over a value
   mask per element: ``iter_monotone_assignments`` enumerates with it, and
-  ``monotone_value_sets`` certifies each value with it, pinned at one
-  point, under one node budget per call.
+  ``monotone_value_sets``, the one value-set routine, certifies each
+  value with it, pinned at one point, under one node budget per call,
+  unless the cover graph of the domain is a forest.
 * Joins are memoized: ``join_mask`` keeps each poset's answers keyed by
   the mask of the elements joined, at most ``cache.BOUND`` of them, and a
   map keeps its ``below`` table after the first call.  Both live and die
@@ -233,9 +234,10 @@ class Poset:
     def cover_forest(self) -> bool:
         """True when the undirected cover graph is acyclic: a graph is a
         forest exactly when it has one edge fewer than nodes per
-        component, and ``cover_trees`` holds each component's members."""
-        components = len({members for members, _ in self.cover_trees})
-        return len(self.cover_pairs) == self.n - components
+        component, counted by ``_reach`` over the cover pairs both ways."""
+        ends = np.array(self.cover_pairs, dtype=np.intp).reshape(-1, 2)
+        src, dst = np.concatenate([ends, ends[:, ::-1]]).T
+        return len(ends) == self.n - len(_reach(self.n, src, dst)[1])
 
     @cached_property
     def cover_trees(self) -> tuple:
@@ -632,20 +634,66 @@ def monotone_value_sets(
     x: Poset,
     lower: Optional[Mapping[int, Iterable[int]]] = None,
     cap: Optional[int] = None,
+    points: Optional[Sequence[int]] = None,
 ) -> Optional[list]:
-    """For each element of ``a``, the bitmask of values that some monotone
-    map a -> x (respecting ``lower``) takes there; None when no map exists.
+    """For each element of ``points`` (all of ``a`` when None), in that
+    order, the bitmask of values that some monotone map a -> x
+    (respecting ``lower``) takes there; None when no map exists.
 
-    Arc consistency over the cover constraints, which is exact when the
-    cover graph is a forest.  Otherwise each surviving value v at i is
-    certified by the monotone search itself (``_search``), with the
-    domains pinned at i: v at i, below v under i, above v over i; the
-    first map it finds certifies v.  The certification searches of one
-    call share one budget of ``cap`` visited nodes (the configured size
-    cap when None) and raise SizeCapExceeded when it runs out.
+    When the cover graph of ``a`` is a forest, each point's set comes
+    from directional arc consistency toward it (Freuder, "A sufficient
+    condition for backtrack-free search", JACM 1982): the arcs of its
+    tree are revised leaves first, so every value left at a node extends
+    to the subtree hanging below it, and the values left at the point
+    are exactly its set.  A component with no point gets one such pass,
+    toward its lowest-indexed element, to decide whether it has a map
+    at all.  Every starting domain is an intersection of up-sets, hence
+    an up-set, and intersecting with the union of the up-sets over an
+    up-set keeps it one.  So an arc whose child lies below its parent
+    intersects with the child's domain directly while that domain is
+    still an up-set; only an arc whose child lies above its parent
+    needs the union, and its parent's domain is no longer known to be
+    an up-set.
+
+    Otherwise arc consistency over the cover constraints runs to a
+    fixpoint, and each surviving value v at every element i, requested
+    or not, is certified by the monotone search itself (``_search``),
+    with the domains pinned at i: v at i, below v under i, above v over
+    i; the first map it finds certifies v.  So an empty ``points`` still
+    decides existence.  The certification searches of one call share
+    one budget of ``cap`` visited nodes (the configured size cap when
+    None) and raise SizeCapExceeded when it runs out.
     """
     cand = _lower_masks(a, x, lower)
     up, down = x.up_masks, x.down_masks
+    points = range(a.n) if points is None else points
+    if a.cover_forest:
+        trees = a.cover_trees
+        roots = list(points)
+        rest = a.full_mask
+        for r in roots:
+            rest &= ~trees[r][0]
+        while rest:
+            r = (rest & -rest).bit_length() - 1
+            roots.append(r)
+            rest &= ~trees[r][0]
+        out = {}
+        for r in roots:
+            dom = cand.copy()
+            upset = [True] * a.n
+            for c, p, below in trees[r][1]:
+                if not below:
+                    dom[p] &= _union(down, dom[c])
+                    upset[p] = False
+                elif upset[c]:
+                    dom[p] &= dom[c]
+                else:
+                    dom[p] &= _union(up, dom[c])
+            if not dom[r]:
+                return None
+            out[r] = dom[r]
+        return [out[r] for r in points]
+
     pairs = a.cover_pairs
     changed = True
     while changed:
@@ -661,9 +709,6 @@ def monotone_value_sets(
                 changed = True
         if any(c == 0 for c in cand):
             return None
-    if a.cover_forest:
-        return cand
-
     cap = config.effective_cap(cap)
     spent = [0]
     exact = []
@@ -681,67 +726,7 @@ def monotone_value_sets(
         if m == 0:
             return None
         exact.append(m)
-    return exact
-
-
-def value_sets_at(
-    a: Poset,
-    x: Poset,
-    points: Sequence[int],
-    lower: Optional[Mapping[int, Iterable[int]]] = None,
-    cap: Optional[int] = None,
-) -> Optional[dict]:
-    """The sets monotone_value_sets reports at ``points`` only, as
-    {point: bitmask}; None when no monotone map a -> x respects ``lower``.
-
-    When the cover graph of ``a`` is a forest, each point's set comes
-    from directional arc consistency toward it (Freuder, "A sufficient
-    condition for backtrack-free search", JACM 1982): the arcs of its
-    tree are revised leaves first, so every value left at a node extends
-    to the subtree hanging below it, and the values left at the point
-    are exactly its set.  A component with no point gets one such pass,
-    toward its lowest-indexed element, to decide whether it has a map
-    at all.
-
-    Every starting domain is an intersection of up-sets, hence an
-    up-set, and intersecting with the union of the up-sets over an
-    up-set keeps it one.  So an arc whose child lies below its parent
-    intersects with the child's domain directly while that domain is
-    still an up-set; only an arc whose child lies above its parent
-    needs the union, and its parent's domain is no longer known to be
-    an up-set.  An ``a`` whose cover graph is not a forest goes through
-    monotone_value_sets, under ``cap``.
-    """
-    if not a.cover_forest:
-        sets = monotone_value_sets(a, x, lower=lower, cap=cap)
-        return None if sets is None else {r: sets[r] for r in points}
-    base = _lower_masks(a, x, lower)
-    up, down = x.up_masks, x.down_masks
-    trees = a.cover_trees
-    roots = list(points)
-    rest = a.full_mask
-    for r in roots:
-        rest &= ~trees[r][0]
-    while rest:
-        r = (rest & -rest).bit_length() - 1
-        roots.append(r)
-        rest &= ~trees[r][0]
-    out = {}
-    for r in roots:
-        dom = base.copy()
-        upset = [True] * a.n
-        for c, p, below in trees[r][1]:
-            if not below:
-                dom[p] &= _union(down, dom[c])
-                upset[p] = False
-            elif upset[c]:
-                dom[p] &= dom[c]
-            else:
-                dom[p] &= _union(up, dom[c])
-        if not dom[r]:
-            return None
-        out[r] = dom[r]
-    return {r: out[r] for r in points}
+    return [exact[r] for r in points]
 
 
 # -- adjoints ----------------------------------------------------------------

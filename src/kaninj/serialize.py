@@ -69,6 +69,9 @@ def map_from_json(data) -> MonotoneMap:
         raise ValueError("malformed map description: 'map' values must be labels")
     dom = poset_from_json(data.get("dom"))
     cod = poset_from_json(data.get("cod"))
+    stray = [lbl for lbl in data["map"] if lbl not in dom.index]
+    if stray:
+        raise ValueError(f"malformed map description: {stray[0]!r} is not in the domain")
     try:
         assignment = [cod.index[data["map"][lbl]] for lbl in dom.elements]
     except KeyError as e:
@@ -83,10 +86,10 @@ def class_to_json(c: MapClass) -> dict:
 def class_from_json(data) -> MapClass:
     if not isinstance(data, dict) or not isinstance(data.get("maps"), list):
         raise ValueError("malformed class description: expected name/maps")
-    return MapClass(
-        str(data.get("name", "H")),
-        tuple(map_from_json(m) for m in data["maps"]),
-    )
+    name = data.get("name", "H")
+    if not isinstance(name, str):
+        raise ValueError("malformed class description: 'name' must be a label")
+    return MapClass(name, tuple(map_from_json(m) for m in data["maps"]))
 
 
 def _q(label: str) -> str:

@@ -21,6 +21,15 @@ def brute_monotone(dom, cod):
     return out
 
 
+def brute_bounded(dom, cod, lower):
+    """brute_monotone(dom, cod) with lower[i] below the value at each i."""
+    return [
+        m
+        for m in brute_monotone(dom, cod)
+        if all(cod.leq[v, m[i]] for i, vals in lower.items() for v in vals)
+    ]
+
+
 def brute_kan(f_vals, h, x):
     """Least g: cod(h) -> x with f <= g∘h.
 

@@ -368,6 +368,9 @@ def test_wide_chain_digest(n, klass):
     for i in range(state.top + 1):
         composites = state.assignments_to(i)
         assert len(composites) == i + 1
-        for j in range(i + 1):
-            assert composites[j] == state.connector(j, i).assignment, (j, i)
+        m = MonotoneMap.identity(state.stages[i])
+        for j in range(i, -1, -1):
+            assert composites[j] == m.assignment, (j, i)
+            if j:
+                m = state.connectors[j - 1].then(m)
 

@@ -194,6 +194,18 @@ def test_invalid_inputs(tmp_path, capsys):
     f["map"] = {k: [v] for k, v in f["map"].items()}
     assert main(["dense", write(tmp_path, "f.json", f)]) == 2
     assert "malformed map description" in capsys.readouterr().err
+    # a map entry outside the domain, and a class name that is not a label
+    stray = {
+        "dom": {"elements": ["a"]},
+        "cod": {"elements": ["x", "y"], "leq": [["x", "y"]]},
+        "map": {"a": "x", "zzz": "y"},
+    }
+    assert main(["dense", write(tmp_path, "stray.json", stray)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed map description" in captured.err
+    named = write(tmp_path, "named.json", {"name": ["x", 1], "maps": []})
+    assert main(["injective", write(tmp_path, "x.json", poset_to_json(chain(2))), named]) == 2
+    assert "malformed class description" in capsys.readouterr().err
 
 
 def test_bad_subcommand_and_suite(capsys):

@@ -103,6 +103,14 @@ def test_hom_poset_is_pointwise_order():
     assert set(h.assignments) == set(maps)
 
 
+def test_hom_poset_of_empty_ends():
+    # no map into the empty poset, and exactly one out of it
+    h = hom_poset(point(), empty())
+    assert len(h) == 0 and h.as_poset.n == 0
+    h = hom_poset(empty(), vee())
+    assert len(h) == 1 and h.as_poset.leq.tolist() == [[True]]
+
+
 def test_pre_and_postcompose_are_monotone_actions():
     f = MonotoneMap(chain(2), vee(), [0, 2])
     pre = precompose(f, chain(2))   # hom(vee, 2-chain) -> hom(2-chain, 2-chain)

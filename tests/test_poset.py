@@ -33,10 +33,9 @@ from kaninj.poset import (
     left_adjoint,
     monotone_value_sets,
     right_adjoint,
-    value_sets_at,
 )
 
-from oracles import brute_adjoints, brute_close_and_collapse, brute_monotone
+from oracles import brute_adjoints, brute_bounded, brute_close_and_collapse, brute_monotone
 
 
 def test_catalog_axioms():
@@ -181,6 +180,14 @@ def test_cover_forest_matches_definition():
     assert True in verdicts and False in verdicts
 
 
+def test_cover_forest_builds_no_trees():
+    # the components come from one pass; the per-root trees are built
+    # only when a value-set pass reads them
+    for p, forest in [(chain(1500), True), (wide_diamond(254), False)]:
+        assert p.cover_forest is forest
+        assert "cover_trees" not in vars(p)
+
+
 def random_presentation(rng, n: int, density: float) -> list:
     pairs = np.argwhere(rng.random((n, n)) < density)
     return [tuple(pair) for pair in rng.permutation(pairs).tolist()]
@@ -269,15 +276,6 @@ def test_composition_and_identity():
 def bowtie():
     """The 2+2 bowtie: a, b both below c and d, a 4-cycle of covers."""
     return build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
-
-
-def brute_bounded(a, x, lower) -> list:
-    """brute_monotone(a, x) with lower[i] below the value at each i."""
-    return [
-        m
-        for m in brute_monotone(a, x)
-        if all(x.leq[v, m[i]] for i, vals in lower.items() for v in vals)
-    ]
 
 
 def random_lower(rng, a, x) -> dict:
@@ -400,10 +398,12 @@ def test_monotone_value_sets_certification_is_capped():
         assert monotone_value_sets(a, x, cap=total) == [x.full_mask] * 4
 
 
-def test_value_sets_at_match_monotone_value_sets():
+def test_monotone_value_sets_on_points_match_brute_force():
     # every map h between posets with at most 3 elements, and every h
     # from a poset with at most 2 elements into a 4-element poset whose
-    # cover graph has a cycle, into every poset with at most 4 elements
+    # cover graph has a cycle, into every poset with at most 4 elements;
+    # the sets at the points outside h's image, as the even step asks
+    # them, and at no point, against the filtered brute force
     rng = random.Random(11)
     small = all_posets(3)
     cyclic = [c for c in all_posets(4) if not c.cover_forest]
@@ -425,15 +425,19 @@ def test_value_sets_at_match_monotone_value_sets():
                     for v in range(b.n):
                         if rng.random() < 0.5:
                             lower[v] = rng.sample(range(x.n), rng.randint(1, min(2, x.n)))
-                want = monotone_value_sets(b, x, lower=lower)
-                got = value_sets_at(b, x, points, lower=lower)
-                if want is None:
+                found = brute_bounded(b, x, lower)
+                got = monotone_value_sets(b, x, lower=lower, points=points)
+                none = monotone_value_sets(b, x, lower=lower, points=[])
+                case = (h.assignment, b.elements, x.elements, lower)
+                if not found:
                     seen["infeasible"] += 1
-                    assert got is None, (h.assignment, b.elements, x.elements, lower)
-                else:
-                    assert got == {v: want[v] for v in points}, (
-                        h.assignment, b.elements, x.elements, lower,
-                    )
+                    assert got is None and none is None, case
+                    continue
+                want = [
+                    functools.reduce(lambda acc, m: acc | 1 << m[v], found, 0) for v in points
+                ]
+                assert got == want, case
+                assert none == [], case
     assert all(seen.values()), seen
 
 

@@ -69,6 +69,18 @@ def test_malformed_inputs_raise():
         )
     with pytest.raises(ValueError, match="expected name/maps"):
         class_from_json({"name": "H"})
+    # a map entry outside the domain is not dropped, and a class name is
+    # not turned into a string
+    with pytest.raises(ValueError, match="malformed map description: 'zzz' is not in the domain"):
+        map_from_json(
+            {
+                "dom": poset_to_json(chain(2)),
+                "cod": poset_to_json(chain(2)),
+                "map": {"c0": "c0", "c1": "c1", "zzz": "c1"},
+            }
+        )
+    with pytest.raises(ValueError, match="malformed class description: 'name' must be a label"):
+        class_from_json({"name": ["x", 1], "maps": []})
 
 
 def test_dumps_is_canonical():
