@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .cache import BoundedCache
-from .poset import MonotoneMap, Poset, _mask_rows, _transitive, build_poset
+from .poset import MonotoneMap, Poset, _transitive, build_poset
 
 
 def empty() -> Poset:
@@ -114,7 +114,7 @@ def _enumerate_posets(max_n: int) -> tuple:
                     up[i] |= 1 << j
             if not _transitive(up):
                 continue
-            p = Poset([f"p{i}" for i in range(n)], _mask_rows(up, n), validate=False)
+            p = Poset([f"p{i}" for i in range(n)], up, validate=False)
             key = p.canonical_form()
             if key not in seen:
                 seen[key] = p
@@ -126,17 +126,13 @@ def product(x: Poset, y: Poset) -> tuple:
     """Cartesian product with componentwise order, plus both projections.
 
     Products are the easy half of the bilimit story: strong injectivity
-    passes through them coordinatewise.
+    passes through them coordinatewise.  The order is generated by a
+    cover pair of one factor with the other coordinate held fixed.
     """
-    where = {}
-    for i, a in enumerate(x.elements):
-        for j, b in enumerate(y.elements):
-            where[f"({a},{b})"] = (i, j)
-    pairs = []
-    for l1, (i1, j1) in where.items():
-        for l2, (i2, j2) in where.items():
-            if x.leq[i1, i2] and y.leq[j1, j2]:
-                pairs.append((l1, l2))
+    where = {f"({a},{b})": (i, j) for i, a in enumerate(x.elements) for j, b in enumerate(y.elements)}
+    label = {ij: lbl for lbl, ij in where.items()}
+    pairs = [(label[i, j], label[k, j]) for i, k in x.cover_pairs for j in range(y.n)]
+    pairs += [(label[i, j], label[i, k]) for j, k in y.cover_pairs for i in range(x.n)]
     p = build_poset(where, pairs)
     pi1 = MonotoneMap(p, x, [where[l][0] for l in p.elements])
     pi2 = MonotoneMap(p, y, [where[l][1] for l in p.elements])

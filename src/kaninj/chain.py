@@ -145,7 +145,7 @@ def _relabel(p: Poset, stage: int):
     gluing tags."""
     width = max(4, len(str(max(p.n - 1, 0))))
     labels = [f"s{stage}x{k:0{width}d}" for k in range(p.n)]
-    q = Poset(labels, p.leq, validate=False)
+    q = Poset(labels, p.up_masks, validate=False)
     return q, MonotoneMap(p, q, range(p.n), validate=False)
 
 

@@ -297,7 +297,7 @@ def verify_universal(res: ColimitResult) -> UniversalityReport:
     n_gen = len(res.gen_labels)
     collapse = res.collapse
     for i, j in res.gen_pairs:
-        if not obj.leq[collapse[i], collapse[j]]:
+        if not obj.up_masks[collapse[i]] >> collapse[j] & 1:
             return UniversalityReport(
                 False,
                 f"quotient drops generating pair {res.gen_labels[i]} <= {res.gen_labels[j]}",

@@ -33,14 +33,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-import numpy as np
-
 from .cache import BoundedCache
 from .config import effective_cap
 from .errors import DomainMismatch, NotInjectiveContext
 from .poset import (
     MonotoneMap,
     Poset,
+    _fibers,
+    _preimage,
     iter_monotone_assignments,
     monotone_value_sets,
     left_adjoint,
@@ -66,9 +66,13 @@ class HomPoset:
         m = len(self.assignments)
         width = max(3, len(str(max(m - 1, 0))))
         labels = [f"m{k:0{width}d}" for k in range(m)]
-        arr = np.asarray(self.assignments, dtype=np.intp).reshape(m, self.a.n)
-        leq = self.x.leq[arr[:, None, :], arr[None, :, :]].all(axis=2)
-        return Poset(labels, leq, validate=False)
+        up = [(1 << m) - 1] * m
+        for k in range(self.a.n):
+            # the maps whose value at k is each value, then at or above it
+            fibers = _fibers([g[k] for g in self.assignments], self.x.n)
+            above = [_preimage(fibers, u) for u in self.x.up_masks]
+            up = [mask & above[g[k]] for mask, g in zip(up, self.assignments)]
+        return Poset(labels, up, validate=False)
 
 
 def hom_poset(a: Poset, x: Poset, cap: Optional[int] = None) -> HomPoset:

@@ -2,20 +2,21 @@
 
 Conventions used throughout the package:
 
-* A poset holds a sorted tuple of string labels plus the full
-  reflexive-transitive ``leq`` matrix (numpy bool, frozen).  At the sizes
-  this library targets, keeping the closed matrix beats recomputing
-  reachability.  ``n`` and ``full_mask`` are plain attributes set at
-  construction, since the extension path reads them millions of times.
+* A poset holds a sorted tuple of string labels plus its order as
+  up-set bitmasks, ``up_masks[i]`` with bit j set iff i <= j: plain
+  ints, the one stored form of the order, which every algorithm here
+  reads.  The dense ``leq`` matrix (numpy bool, frozen) is built only
+  when read, and nothing in the package reads it.  ``n`` and
+  ``full_mask`` are plain attributes set at construction, since the
+  extension path reads them millions of times.
 * A presentation (labels plus generating inequalities) becomes a poset
   in one place, ``close_and_collapse``: the strongly connected components
   of the generating pairs are the elements, and their reachability
   bitmasks (``_reach``) are the order.  ``build_poset`` and every colimit
   go through it.
 * Monotone maps are total index assignments, validated against the cover
-  relation of the domain.  Up-sets, down-sets and value sets are plain
-  int bitmasks; value-set propagation and the adjoints work on those, not
-  on matrix entries.
+  relation of the domain.  Down-sets and value sets are int bitmasks
+  too, and value-set propagation and the adjoints work on those.
 * One backtracking search (``_search``) finds monotone maps, over a value
   mask per element: ``iter_monotone_assignments`` enumerates with it, and
   ``monotone_value_sets``, the one value-set routine, certifies each
@@ -73,6 +74,15 @@ def _mask_rows(masks: Sequence[int], n: int) -> np.ndarray:
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), dtype=np.uint8)
     return np.unpackbits(packed.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+
+
+def _renumber(masks: Sequence[int], order: Sequence[int]) -> list:
+    """The masks with bit order[k] moved to bit k, for a permutation
+    ``order`` of range(n), 1024 rows at a time: no n x n matrix is built."""
+    out = []
+    for s in range(0, len(masks), 1024):
+        out += _row_masks(_mask_rows(masks[s : s + 1024], len(order)).take(order, 1))
+    return out
 
 
 def _transitive(up: Sequence[int]) -> bool:
@@ -139,32 +149,28 @@ def _reach(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
 
 
 class Poset:
-    """Immutable finite poset on string labels."""
+    """Immutable finite poset on string labels, with its order given by
+    up-set bitmasks: bit j of ``up[i]`` is set iff i <= j."""
 
-    def __init__(self, elements: Sequence[str], leq: np.ndarray, validate: bool = True):
+    def __init__(self, elements: Sequence[str], up: Sequence[int], validate: bool = True):
         self.elements = tuple(elements)
-        mat = np.asarray(leq, dtype=bool).copy()
-        mat.setflags(write=False)
-        self.leq = mat
+        self.up_masks = tuple(up)
         self.n = len(self.elements)
         self.full_mask = (1 << self.n) - 1
         self._joins: dict = {}
+        self._trees: dict = {}
         if validate:
             self.validate()
 
     def validate(self) -> None:
         """Re-check all poset invariants (reflexive, antisymmetric, closed)."""
-        n = len(self.elements)
-        if len(set(self.elements)) != n:
+        if len(set(self.elements)) != self.n:
             raise DuplicateLabel("duplicate element labels")
-        if self.leq.shape != (n, n):
-            raise ValueError("leq matrix has wrong shape")
-        if n == 0:
-            return
-        if not self.leq.diagonal().all():
+        if len(self.up_masks) != self.n or any(m < 0 or m > self.full_mask for m in self.up_masks):
+            raise ValueError("up-set masks do not match the elements")
+        if any(not m >> i & 1 for i, m in enumerate(self.up_masks)):
             raise ValueError("leq is not reflexive")
-        sym = self.leq & self.leq.T
-        if sym.sum() != n:
+        if any(m & d != 1 << i for i, (m, d) in enumerate(zip(self.up_masks, self.down_masks))):
             raise CycleDetected("leq is not antisymmetric")
         if not _transitive(self.up_masks):
             raise ValueError("leq is not transitively closed")
@@ -179,11 +185,25 @@ class Poset:
         return {lbl: i for i, lbl in enumerate(self.elements)}
 
     def le(self, a: str, b: str) -> bool:
-        return bool(self.leq[self.index[a], self.index[b]])
+        return bool(self.up_masks[self.index[a]] >> self.index[b] & 1)
+
+    @cached_property
+    def leq(self) -> np.ndarray:
+        """The order as a frozen n x n boolean matrix, built on first read
+        for code outside the package; nothing in the package reads it."""
+        mat = _mask_rows(self.up_masks, self.n).astype(bool)
+        mat.setflags(write=False)
+        return mat
 
     @cached_property
     def key(self) -> bytes:
-        return ("\x00".join(self.elements)).encode() + b"\x01" + np.packbits(self.leq).tobytes()
+        """The labels, then the ``leq`` matrix packed row-major at a bit
+        per entry.  A block of 1024 rows fills whole bytes, so packing
+        the rows a block at a time gives the same bytes without an
+        n x n matrix."""
+        blocks = (_mask_rows(self.up_masks[s : s + 1024], self.n) for s in range(0, self.n, 1024))
+        packed = b"".join(np.packbits(block).tobytes() for block in blocks)
+        return "\x00".join(self.elements).encode() + b"\x01" + packed
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poset) and self.key == other.key
@@ -192,35 +212,34 @@ class Poset:
         return hash(self.key)
 
     def __repr__(self) -> str:
-        return f"Poset({list(self.elements)!r}, {int(self.leq.sum())} pairs)"
+        return f"Poset({list(self.elements)!r}, {sum(m.bit_count() for m in self.up_masks)} pairs)"
 
     # -- derived structure -----------------------------------------------
 
     @cached_property
-    def up_masks(self) -> list:
-        """up_masks[i] = bitmask of {j : i <= j}, as plain ints so the
-        bit tricks elsewhere never touch numpy scalars."""
-        return _row_masks(self.leq)
-
-    @cached_property
-    def down_masks(self) -> list:
-        return _row_masks(self.leq.T)
+    def down_masks(self) -> tuple:
+        """down_masks[j] = bitmask of {i : i <= j}: the up-set masks
+        transposed through a matrix that is dropped at once."""
+        return tuple(_row_masks(_mask_rows(self.up_masks, self.n).T))
 
     @cached_property
     def cover_pairs(self) -> tuple:
         """(i, j) for each j covering i, ascending: the minimal elements
-        of i's strict up-set.  Bits at positions in a linear extension
-        make the lowest bit left minimal; dropping its up-set leaves the
-        elements not above it."""
-        order = self.topo_order
-        up = _row_masks(self.leq.take(order, 0).take(order, 1))
+        of i's strict up-set.  An element's up-set is larger than those
+        of the elements above it, so ranking the elements by up-set size,
+        largest first, gives a linear extension.  With the bits numbered
+        by rank, the lowest bit left is minimal, and dropping its up-set
+        leaves the elements not above it."""
+        up = self.up_masks
+        order = sorted(range(self.n), key=lambda i: -up[i].bit_count())
+        ranked = _renumber([up[i] for i in order], order)
         pairs = []
         for p, i in enumerate(order):
-            left = up[p] & ~(1 << p)
+            left = ranked[p] ^ 1 << p
             while left:
                 q = (left & -left).bit_length() - 1
                 pairs.append((i, order[q]))
-                left &= ~up[q]
+                left &= ~ranked[q]
         return tuple(sorted(pairs))
 
     @cached_property
@@ -239,31 +258,28 @@ class Poset:
         src, dst = np.concatenate([ends, ends[:, ::-1]]).T
         return len(ends) == self.n - len(_reach(self.n, src, dst)[1])
 
-    @cached_property
-    def cover_trees(self) -> tuple:
-        """trees[r] = (members, arcs) for r's component of the cover
-        graph: members as a bitmask, arcs as (child, parent, child_below)
-        with the parent one step nearer r.  Arcs are listed leaves first,
-        so each arc into a node comes before the arc out of it.  The arcs
-        span a tree of the component, which is all of it when the cover
-        graph is a forest (``cover_forest``)."""
-        nbrs = [[] for _ in range(self.n)]
-        for i, j in self.cover_pairs:
-            nbrs[i].append((j, False))
-            nbrs[j].append((i, True))
-        out = []
-        for r in range(self.n):
-            members = 1 << r
-            arcs = []
-            queue = [r]
+    def cover_tree(self, r: int) -> tuple:
+        """(members, arcs) for r's component of the cover graph: members as a
+        bitmask, arcs as (child, parent, child_below) with the parent one
+        step nearer r.  Arcs are listed leaves first, so each arc into a
+        node comes before the arc out of it.  The arcs span a tree of the
+        component, which is all of it when the cover graph is a forest
+        (``cover_forest``).  Built in O(n + e), for e cover pairs, on the
+        first call for r and kept in ``_trees``."""
+        if r not in self._trees:
+            nbrs = [[] for _ in range(self.n)]
+            for i, j in self.cover_pairs:
+                nbrs[i].append((j, False))
+                nbrs[j].append((i, True))
+            members, arcs, queue = 1 << r, [], [r]
             for p in queue:
                 for c, below in nbrs[p]:
                     if not members >> c & 1:
                         members |= 1 << c
                         arcs.append((c, p, below))
                         queue.append(c)
-            out.append((members, tuple(reversed(arcs))))
-        return tuple(out)
+            self._trees[r] = (members, tuple(reversed(arcs)))
+        return self._trees[r]
 
     @cached_property
     def topo_order(self) -> tuple:
@@ -277,12 +293,6 @@ class Poset:
         """Least element of the subset given by ``mask``, if any."""
         for i in _bits(mask):
             if mask & ~self.up_masks[i] == 0:
-                return i
-        return None
-
-    def greatest_of(self, mask: int) -> Optional[int]:
-        for i in _bits(mask):
-            if mask & ~self.down_masks[i] == 0:
                 return i
         return None
 
@@ -305,7 +315,7 @@ class Poset:
         return j
 
     def dual(self) -> "Poset":
-        return Poset(self.elements, self.leq.T, validate=False)
+        return Poset(self.elements, self.down_masks, validate=False)
 
     # -- isomorphism -------------------------------------------------------
 
@@ -347,7 +357,7 @@ class Poset:
         ids = {s: k for k, s in enumerate(ordered)}
         cls = [ids[s] for s in sig]
         blocks = [sorted(i for i in range(n) if cls[i] == k) for k in range(len(ordered))]
-        leq = self.leq
+        ups = self.up_masks
         best: Optional[tuple] = None
 
         def rec(placed: list, used: int, enc: tuple):
@@ -362,8 +372,8 @@ class Poset:
             cands = [i for i in block if not (used >> i) & 1]
             steps = []
             for e in cands:
-                down = sum(1 << t for t, p in enumerate(placed) if leq[e, p])
-                up = sum(1 << t for t, p in enumerate(placed) if leq[p, e])
+                down = sum(1 << t for t, p in enumerate(placed) if ups[e] >> p & 1)
+                up = sum(1 << t for t, p in enumerate(placed) if ups[p] >> e & 1)
                 steps.append(((down, up), e))
             low = min(s for s, _ in steps)
             for s, e in steps:
@@ -391,7 +401,7 @@ class MonotoneMap:
             if any(a < 0 or a >= cod.n for a in self.assignment):
                 raise ValueError("assignment out of range")
             for i, j in dom.cover_pairs:
-                if not cod.leq[self.assignment[i], self.assignment[j]]:
+                if not cod.up_masks[self.assignment[i]] >> self.assignment[j] & 1:
                     raise NotMonotone(
                         f"map is not monotone on {dom.elements[i]} <= {dom.elements[j]}"
                     )
@@ -442,17 +452,16 @@ class MonotoneMap:
 
     def is_order_iso(self) -> bool:
         """Bijective and order-reflecting (hence an isomorphism of posets)."""
-        if self.dom.n != self.cod.n or len(set(self.assignment)) != self.dom.n:
+        a = self.assignment
+        if self.dom.n != self.cod.n or len(set(a)) != self.dom.n:
             return False
-        a = list(self.assignment)
-        return bool(np.array_equal(self.dom.leq, self.cod.leq[np.ix_(a, a)]))
+        return _renumber([self.cod.up_masks[w] for w in a], a) == list(self.dom.up_masks)
 
     def pointwise_leq(self, other: "MonotoneMap") -> bool:
         if self.dom.key != other.dom.key or self.cod.key != other.cod.key:
             raise NotParallel("maps are not parallel")
-        return all(
-            self.cod.leq[a, b] for a, b in zip(self.assignment, other.assignment)
-        )
+        up = self.cod.up_masks
+        return all(up[a] >> b & 1 for a, b in zip(self.assignment, other.assignment))
 
 
 @dataclass(frozen=True)
@@ -496,16 +505,14 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
 
     The classes are the strongly connected components of the pairs, and
     the order is their reachability, both from one pass of ``_reach``
-    over the index array; no matrix is built until the closed one, with
-    one row per class.  Repeated pairs are harmless.
+    over the index array, with the reachability masks renumbered by
+    label (``_renumber``).  Repeated pairs are harmless.
     """
     n = len(labels)
     ends = np.asarray(index_pairs, dtype=np.intp).reshape(-1, 2)
     if len(ends) and (ends.min() < 0 or ends.max() >= n):
         bad = next(p for p in ends.tolist() if not (0 <= p[0] < n and 0 <= p[1] < n))
         raise ValueError(f"generator pair {tuple(bad)} out of range for {n} generators")
-    if n == 0:
-        return Poset([], np.zeros((0, 0), dtype=bool), validate=False), ()
     cls_of, reach = _reach(n, ends[:, 0], ends[:, 1])
     # a class takes its least label; the sort is stable, so ties keep least-generator order
     class_label: dict = {}
@@ -514,7 +521,7 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
             class_label[c] = lbl
     order = sorted(class_label, key=class_label.__getitem__)
     rank = {c: pos for pos, c in enumerate(order)}
-    closed = _mask_rows([reach[c] for c in order], len(order)).take(order, 1)
+    closed = _renumber([reach[c] for c in order], order)
     poset = Poset([class_label[c] for c in order], closed, validate=False)
     return poset, tuple(rank[c] for c in cls_of)
 
@@ -665,25 +672,22 @@ def monotone_value_sets(
     None) and raise SizeCapExceeded when it runs out.
     """
     cand = _lower_masks(a, x, lower)
-    up, down = x.up_masks, x.down_masks
+    up = x.up_masks
     points = range(a.n) if points is None else points
     if a.cover_forest:
-        trees = a.cover_trees
-        roots = list(points)
-        rest = a.full_mask
+        roots, rest = list(points), a.full_mask
         for r in roots:
-            rest &= ~trees[r][0]
+            rest &= ~a.cover_tree(r)[0]
         while rest:
-            r = (rest & -rest).bit_length() - 1
-            roots.append(r)
-            rest &= ~trees[r][0]
+            roots.append((rest & -rest).bit_length() - 1)
+            rest &= ~a.cover_tree(roots[-1])[0]
         out = {}
         for r in roots:
             dom = cand.copy()
             upset = [True] * a.n
-            for c, p, below in trees[r][1]:
+            for c, p, below in a.cover_tree(r)[1]:
                 if not below:
-                    dom[p] &= _union(down, dom[c])
+                    dom[p] &= _union(x.down_masks, dom[c])
                     upset[p] = False
                 elif upset[c]:
                     dom[p] &= dom[c]
@@ -694,7 +698,7 @@ def monotone_value_sets(
             out[r] = dom[r]
         return [out[r] for r in points]
 
-    pairs = a.cover_pairs
+    pairs, down = a.cover_pairs, x.down_masks
     changed = True
     while changed:
         changed = False
@@ -732,10 +736,11 @@ def monotone_value_sets(
 # -- adjoints ----------------------------------------------------------------
 
 
-def _fibers(m: MonotoneMap) -> list:
-    """fibers[v] = bitmask of the elements of dom(m) that m sends to v."""
-    out = [0] * m.cod.n
-    for i, v in enumerate(m.assignment):
+def _fibers(values: Sequence[int], size: int) -> list:
+    """fibers[v] = bitmask of the positions i with values[i] == v, for
+    each v in range(size); for a map's assignment, what it sends to v."""
+    out = [0] * size
+    for i, v in enumerate(values):
         out[v] |= 1 << i
     return out
 
@@ -749,29 +754,24 @@ def _preimage(fibers: list, mask: int) -> int:
 
 
 def right_adjoint(m: MonotoneMap) -> Optional[MonotoneMap]:
-    """The right adjoint of ``m`` (so m ⊣ result), or None.
-
-    Pointwise: result(b) is the greatest a with m(a) <= b.  The preimage
-    of the down-set of b is a down-set, so when it has a greatest element
-    it is that element's down-set: m(a) <= b iff a <= result(b), which
-    is the adjunction and also makes the result monotone.
-    """
-    a, b = m.dom, m.cod
-    fibers = _fibers(m)
-    assign = []
-    for j in range(b.n):
-        g = a.greatest_of(_preimage(fibers, b.down_masks[j]))
-        if g is None:
-            return None
-        assign.append(g)
-    return MonotoneMap(b, a, assign, validate=False)
+    """The right adjoint of ``m`` (so m ⊣ result), or None: the left
+    adjoint of m between the dual posets, since reversing both orders
+    swaps the sides of an adjunction.  Pointwise, result(b) is the
+    greatest a with m(a) <= b."""
+    t = left_adjoint(MonotoneMap(m.dom.dual(), m.cod.dual(), m.assignment, validate=False))
+    return None if t is None else MonotoneMap(m.cod, m.dom, t.assignment, validate=False)
 
 
 def left_adjoint(m: MonotoneMap) -> Optional[MonotoneMap]:
-    """The left adjoint of ``m`` (so result ⊣ m), or None: result(b) is
-    the least element of the preimage of the up-set of b."""
+    """The left adjoint of ``m`` (so result ⊣ m), or None.
+
+    Pointwise: result(b) is the least a with b <= m(a).  The preimage
+    of the up-set of b is an up-set, so when it has a least element it
+    is that element's up-set: b <= m(a) iff result(b) <= a, which is
+    the adjunction and also makes the result monotone.
+    """
     a, b = m.dom, m.cod
-    fibers = _fibers(m)
+    fibers = _fibers(m.assignment, b.n)
     assign = []
     for j in range(b.n):
         l = a.least_of(_preimage(fibers, b.up_masks[j]))

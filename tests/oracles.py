@@ -212,6 +212,12 @@ def brute_close_and_collapse(labels, pairs):
     return [name[c] for c in order], leq, tuple(pos[first[i]] for i in range(n))
 
 
+def masks_of(rows):
+    """The rows of a 0/1 matrix as bitmasks, bit j of mask i set iff
+    rows[i][j]: the up-set masks a ``Poset`` takes."""
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+
+
 def brute_adjoints(m):
     """(right, left) adjoint assignments of m by scanning every monotone
     map back, from the adjunction's definition; None where none exists."""

@@ -43,10 +43,11 @@ EXPECTED = {
 }
 
 # n -> most MB of peak RSS allowed after reflecting antichain(n): about
-# 25 % above 115 and 803 MB, measured on x86-64 Linux with colimit
-# generating pairs kept as one index array (1353 MB for antichain(7)
+# 25 % above 105 and 679 MB, measured on x86-64 Linux with each order held
+# as up-set bitmasks and its dense matrix never built (115 and 803 MB
+# when every poset kept an n x n boolean matrix, 1353 MB for antichain(7)
 # when glue built a tuple per pair).
-PEAK_RSS_CEILING_MB = {6: 144, 7: 1024}
+PEAK_RSS_CEILING_MB = {6: 132, 7: 850}
 
 
 def down_sets(x) -> set:

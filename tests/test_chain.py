@@ -363,6 +363,10 @@ def chain_digest(r) -> str:
 def test_wide_chain_digest(n, klass):
     r = reflect(antichain(n), klass)
     assert chain_digest(r) == {4: WIDE_DIGESTS, 5: WIDE5_DIGESTS}[n][klass.name]
+    # the order is kept as up-set masks: no poset on the reflection path
+    # builds its dense leq matrix
+    posets = [*r.trace.stages, r.reflected, r.unit.dom, r.unit.cod]
+    assert not [p for p in posets if "leq" in vars(p)]
     # the one-pass composites agree with composing connector by connector
     state = r.trace
     for i in range(state.top + 1):

@@ -40,7 +40,7 @@ from kaninj.errors import NotParallel
 from kaninj.poset import Poset, TwoCell
 from kaninj.verify import _sample_colimits
 
-from oracles import brute_close_and_collapse, brute_monotone
+from oracles import brute_close_and_collapse, brute_monotone, masks_of
 
 
 def brute_unique_mediator(res, targets):
@@ -313,7 +313,7 @@ def reference_glue(pieces, ineq, eq):
         a, b = offsets[pi] + ei, offsets[pj] + ej
         pairs += [(a, b), (b, a)]
     names, leq, collapse = brute_close_and_collapse(labels, pairs)
-    obj = Poset(names, np.array(leq, dtype=bool).reshape(len(names), len(names)), validate=False)
+    obj = Poset(names, masks_of(leq), validate=False)
     return tuple(labels), tuple(pairs), obj, collapse, offsets
 
 

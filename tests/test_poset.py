@@ -14,10 +14,13 @@ from kaninj import (
     antichain,
     build_poset,
     chain,
+    class_bottom_join,
     diamond,
     empty,
     enumerate_monotone,
     point,
+    product,
+    reflect,
     two_cell_exists,
     vee,
 )
@@ -35,7 +38,7 @@ from kaninj.poset import (
     right_adjoint,
 )
 
-from oracles import brute_adjoints, brute_bounded, brute_close_and_collapse, brute_monotone
+from oracles import brute_adjoints, brute_bounded, brute_close_and_collapse, brute_monotone, masks_of
 
 
 def test_catalog_axioms():
@@ -58,8 +61,8 @@ def test_build_poset_closes_transitively():
 
 def test_validate_rejects_cycle():
     leq = np.array([[True, True], [True, True]])
-    with pytest.raises(Exception):
-        Poset(["a", "b"], leq)
+    with pytest.raises(CycleDetected):
+        Poset(["a", "b"], masks_of(leq))
 
 
 def test_build_poset_cycle_message():
@@ -87,7 +90,7 @@ def presentations(draw):
 
 
 def oracle_poset(names, leq) -> Poset:
-    return Poset(names, np.array(leq, dtype=bool).reshape(len(names), len(names)), validate=False)
+    return Poset(names, masks_of(leq), validate=False)
 
 
 @settings(max_examples=400, deadline=None)
@@ -182,10 +185,13 @@ def test_cover_forest_matches_definition():
 
 def test_cover_forest_builds_no_trees():
     # the components come from one pass; the per-root trees are built
-    # only when a value-set pass reads them
+    # only when a value-set pass reads them, and only for its roots
     for p, forest in [(chain(1500), True), (wide_diamond(254), False)]:
         assert p.cover_forest is forest
-        assert "cover_trees" not in vars(p)
+        assert p._trees == {}
+    p = chain(1500)
+    assert monotone_value_sets(p, chain(2), points=[0]) == [0b11]
+    assert list(p._trees) == [0]
 
 
 def random_presentation(rng, n: int, density: float) -> list:
@@ -231,7 +237,17 @@ def test_close_and_collapse_has_no_recursion_limit():
 def test_validate_rejects_intransitive_leq():
     leq = np.array([[1, 1, 0], [0, 1, 1], [0, 0, 1]], dtype=bool)
     with pytest.raises(ValueError, match="^leq is not transitively closed$"):
-        Poset(["a", "b", "c"], leq)
+        Poset(["a", "b", "c"], masks_of(leq))
+
+
+def test_validate_rejects_malformed_masks():
+    # c's mask lacks c's own bit
+    with pytest.raises(ValueError, match="^leq is not reflexive$"):
+        Poset(["a", "b", "c"], [0b111, 0b110, 0b000])
+    # one mask short, one too many, a bit past the last element, a negative mask
+    for up in ([0b11], [0b11, 0b10, 0b100], [0b11, 0b110], [0b11, -2]):
+        with pytest.raises(ValueError, match="^up-set masks do not match the elements$"):
+            Poset(["a", "b"], up)
 
 
 def test_mask_rows_inverts_row_masks():
@@ -252,7 +268,7 @@ def test_close_and_collapse_rejects_out_of_range_generators():
 def test_validate_accepts_wide_closed_poset():
     # with bot and top themselves, 256 elements lie between bot and top
     p = wide_diamond(254)
-    assert Poset(p.elements, p.leq) == p
+    assert Poset(p.elements, masks_of(p.leq)) == p
 
 
 def test_duplicate_labels_rejected():
@@ -416,7 +432,7 @@ def test_monotone_value_sets_on_points_match_brute_force():
         points = [v for v in range(b.n) if v not in h.assignment]
         if not b.cover_forest:
             seen["cyclic"] += 1
-        elif any(not below for r in points for _, _, below in b.cover_trees[r][1]):
+        elif any(not below for r in points for _, _, below in b.cover_tree(r)[1]):
             seen["child_above"] += 1
         for x in all_posets(4):
             for trial in range(3):
@@ -453,6 +469,17 @@ def test_two_cells():
         TwoCell(f, MonotoneMap(chain(2), chain(2), [0, 1]))
 
 
+def test_product_is_componentwise():
+    for x in all_posets(3):
+        for y in all_posets(3):
+            p, pi1, pi2 = product(x, y)
+            assert len(set(zip(pi1.assignment, pi2.assignment))) == p.n == x.n * y.n
+            for i in range(p.n):
+                for j in range(p.n):
+                    want = x.leq[pi1.assignment[i], pi1.assignment[j]] and y.leq[pi2.assignment[i], pi2.assignment[j]]
+                    assert p.leq[i, j] == want, (x, y, i, j)
+
+
 def test_dual_is_involution_and_reverses():
     for p in [chain(3), vee(), diamond()]:
         d = p.dual()
@@ -461,6 +488,19 @@ def test_dual_is_involution_and_reverses():
             for j in range(p.n):
                 assert bool(d.leq[i, j]) == bool(p.leq[j, i])
         assert (d.dual().leq == p.leq).all()
+
+
+def test_key_bytes_are_pinned():
+    # the presentation digests hash Poset.key: the labels, then the leq
+    # matrix, here built bit by bit from up_masks, packed row-major.  The
+    # stages of antichain(5) have sizes that are not multiples of 8, and
+    # wide_diamond(1100) has more than 1024 rows
+    stages = reflect(antichain(5), class_bottom_join()).trace.stages
+    assert any(s.n % 8 for s in stages)
+    for p in [*all_posets(5), *stages, wide_diamond(1100)]:
+        m = np.array([[up >> j & 1 for j in range(p.n)] for up in p.up_masks], dtype=bool)
+        want = "\x00".join(p.elements).encode() + b"\x01" + np.packbits(m).tobytes()
+        assert p.key == want, p
 
 
 def test_masks_are_plain_ints():
@@ -510,7 +550,7 @@ def test_join_mask_matches_definition():
 
 def test_join_mask_memo_is_bounded():
     a = antichain(12)
-    p = Poset(a.elements, a.leq)  # a fresh memo
+    p = Poset(a.elements, a.up_masks)  # a fresh memo
     masks = range(1 << p.n)
     assert len(masks) > cache.BOUND
     # twice, the second time from the top: masks past the bound are
