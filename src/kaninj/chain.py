@@ -149,7 +149,7 @@ def _relabel(p: Poset, stage: int):
     return q, MonotoneMap(p, q, range(p.n), validate=False)
 
 
-def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> ChainState:
+def step_odd(state: ChainState, klass: MapClass) -> ChainState:
     """Adjoin a pushout witness for every span out of the current stage.
 
     A span whose witness was already minted at an earlier stage is not
@@ -177,7 +177,7 @@ def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> C
     }
     spans = []
     for hi, h in enumerate(klass):
-        for f in enumerate_monotone(h.dom, xi, cap=cap):
+        for f in enumerate_monotone(h.dom, xi):
             if (hi, tuple(f.assignment)) in minted:
                 continue
             spans.append((hi, h, f))
@@ -192,16 +192,16 @@ def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> C
     pieces = [("x", xi)] + [
         ("w%d" % k, h.cod) for k, (_, h, _) in enumerate(spans)
     ]
-    # per (span k, a): (x, f(a)) <= (w_k, h(a)), then the reverse
-    pairs = np.array(
+    # per (span k, a): (x, f(a)) identified with (w_k, h(a))
+    eq = np.array(
         [
-            (0, fa, k, ha, k, ha, 0, fa)
+            (0, fa, k, ha)
             for k, (_, h, f) in enumerate(spans, 1)
             for fa, ha in zip(f.assignment, h.assignment)
         ],
         dtype=np.intp,
     ).reshape(-1, 2, 2)
-    wide = glue("wide_pushout", pieces, ineq_pairs=pairs)
+    wide = glue("wide_pushout", pieces, eq_pairs=eq)
     nxt, relab = _relabel(wide.object, i + 1)
     conn = wide.injections[0].then(relab)
     records = []
@@ -219,7 +219,7 @@ def step_odd(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> C
     )
 
 
-def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> ChainState:
+def step_even(state: ChainState, klass: MapClass) -> ChainState:
     """Quotient the odd stage by every coequinserter constraint.
 
     For each recorded span (h, f at even stage j) and each g out of
@@ -238,8 +238,9 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     only whether an admissible g exists and the exact value set at each
     point outside the image (``poset.monotone_value_sets`` with those
     points).  The premise is checked on entry: SquareDoesNotCommute when
-    some span's witness at h(a) is not its floor at a.  ``cap`` bounds
-    the value-set search of a cod(h) whose cover graph is not a forest.
+    some span's witness at h(a) is not its floor at a.  The size cap
+    bounds the value-set search of a cod(h) whose cover graph is not a
+    forest.
 
     Quotienting can make further maps admissible (merging two witnesses
     creates upper bounds that did not exist before), so the constraint
@@ -290,7 +291,7 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
             lower: dict = {}
             for a in range(h.dom.n):
                 lower.setdefault(h.assignment[a], []).append(conn[floor[a]])
-            sets = monotone_value_sets(h.cod, cur, lower=lower, cap=cap, points=points)
+            sets = monotone_value_sets(h.cod, cur, lower=lower, points=points)
             if sets is None:
                 realized[si] = False
                 added_total.setdefault(si, 0)
@@ -325,12 +326,7 @@ def step_even(state: ChainState, klass: MapClass, cap: Optional[int] = None) -> 
     )
 
 
-def reflect(
-    x: Poset,
-    klass: MapClass,
-    max_steps: int = 16,
-    cap: Optional[int] = None,
-) -> ReflectionResult:
+def reflect(x: Poset, klass: MapClass, max_steps: int = 16) -> ReflectionResult:
     """Run the chain until one odd/even round is an isomorphism.
 
     On convergence the reflected stage is checked to be strongly
@@ -342,13 +338,13 @@ def reflect(
         raise ValueError("max_steps must be even and at least 2")
     state = init_chain(x)
     while state.top < max_steps:
-        state = step_odd(state, klass, cap=cap)
-        state = step_even(state, klass, cap=cap)
+        state = step_odd(state, klass)
+        state = step_even(state, klass)
         i = state.top - 2
         if state.connector(i, i + 2).is_order_iso():
             reflected = state.stages[i]
             unit = state.connector(0, i)
-            if verdict(reflected, klass, cap=cap) != "strong":
+            if verdict(reflected, klass) != "strong":
                 raise PostconditionFailed("reflected stage is not strongly injective")
             if not is_dense(unit):
                 raise PostconditionFailed("reflection unit is not dense")
@@ -418,12 +414,7 @@ def _put(values: list, at: tuple, vals, i: int, nxt: Poset) -> None:
             )
 
 
-def extend_along_unit(
-    p: MonotoneMap,
-    result: ReflectionResult,
-    klass: MapClass,
-    cap: Optional[int] = None,
-) -> MonotoneMap:
+def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass) -> MonotoneMap:
     """Transport p: X -> P along the unit, stage by stage.
 
     P must be strongly injective for the class; that is decided once per
@@ -451,7 +442,7 @@ def extend_along_unit(
         raise NotConverged("cannot extend along a unit that never stabilized")
     if p.dom.key != result.trace.stages[0].key:
         raise DomainMismatch("p must start at the base of the chain")
-    if verdict(p.cod, klass, cap=cap) != "strong":
+    if verdict(p.cod, klass) != "strong":
         raise NotInjectiveTarget("extension target is not strongly Kan-injective")
 
     target = p.cod
@@ -464,7 +455,7 @@ def extend_along_unit(
             vals = [cur[a] for a in f]
             ext = _span_join(target, vals, below)
             if ext is None:
-                ext = _least_values(target, vals, h, cap)
+                ext = _least_values(target, vals, h)
             if ext is None or [ext[b] for b in h.assignment] != vals:
                 raise PostconditionFailed(
                     f"span at stage {i} has no strict extension into the target"
@@ -481,7 +472,7 @@ def extend_along_unit(
         cur = values
     ext_map = MonotoneMap(result.reflected, target, cur)
 
-    direct = left_kan(p, result.unit, cap=cap)
+    direct = left_kan(p, result.unit)
     if not (direct.exists and direct.strict and ext_map == direct.extension):
         raise PostconditionFailed("stagewise extension is not the least extension")
     if result.unit.then(ext_map) != p:
@@ -533,12 +524,7 @@ class KZReport:
         }
 
 
-def kz_laws(
-    x: Poset,
-    klass: MapClass,
-    cap: Optional[int] = None,
-    free_cap: int = 8,
-) -> KZReport:
+def kz_laws(x: Poset, klass: MapClass, free_cap: int = 8) -> KZReport:
     """Check the KZ laws for one object; raises NotConverged when the
     chain does not stabilize within reflect's default of 16 steps.
 
@@ -548,7 +534,7 @@ def kz_laws(
     construction on the reflection, so it is skipped (None) when the
     reflection has more than free_cap elements.
     """
-    result = reflect(x, klass, cap=cap)
+    result = reflect(x, klass)
     if not result.converged:
         raise NotConverged("kz_laws needs a stabilized reflection")
     xs, d = result.reflected, result.unit
@@ -562,18 +548,18 @@ def kz_laws(
     # endpoints are strong by construction (the reflection by the chain
     # invariant, the targets by enumeration), so the check runs over one
     # extension table of the reflection.
-    table = _extensions(xs, klass.maps, cap)
-    for tgt in strong_objects(3, klass, cap=cap):
-        for f in enumerate_monotone(xs, tgt, cap=cap)[:1000]:
-            if any(_unpreserved(f, klass.maps, table, cap)):
+    table = _extensions(xs, klass.maps)
+    for tgt in strong_objects(3, klass):
+        for f in enumerate_monotone(xs, tgt)[:1000]:
+            if any(_unpreserved(f, klass.maps, table)):
                 continue
-            r = left_kan(d.then(f), d, cap=cap)
+            r = left_kan(d.then(f), d)
             if not (r.exists and r.extension == f):
                 law2 = False
             checked += 1
 
-    strong = verdict(x, klass, cap=cap) == "strong"
-    r_id = left_kan(MonotoneMap.identity(x), d, cap=cap)
+    strong = verdict(x, klass) == "strong"
+    r_id = left_kan(MonotoneMap.identity(x), d)
     retraction = False
     if r_id.exists and r_id.strict:
         a = r_id.extension
@@ -585,13 +571,11 @@ def kz_laws(
 
     law4 = None
     if xs.n <= free_cap:
-        again = reflect(xs, klass, cap=cap)
+        again = reflect(xs, klass)
         if not again.converged:
             law4 = False
         else:
-            comparison = extend_along_unit(
-                MonotoneMap.identity(xs), again, klass, cap=cap
-            )
+            comparison = extend_along_unit(MonotoneMap.identity(xs), again, klass)
             law4 = (
                 again.unit.then(comparison) == MonotoneMap.identity(xs)
                 and MonotoneMap.identity(again.reflected).pointwise_leq(

@@ -3,7 +3,9 @@
 Exit codes are uniform across commands: 0 success (or strong verdict),
 1 property failure (or neither verdict), 2 invalid input, 3 weak-only
 verdict, 4 reflection did not converge.  All structured output is JSON
-on stdout with sorted keys; diagnostics go to stderr.
+on stdout with sorted keys; diagnostics go to stderr.  The search budget
+is the environment's KANINJ_SIZE_CAP (``config.size_cap()``), checked
+before any command runs.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def _class(path: str, dual: bool) -> MapClass:
 def cmd_kan(args: argparse.Namespace) -> int:
     f = _map(args.f, args.dual)
     h = _map(args.h, args.dual)
-    res = left_kan(f, h, cap=args.cap)
+    res = left_kan(f, h)
     print(dumps(res.to_json()), end="")
     return 0 if res.exists else 1
 
@@ -82,10 +84,10 @@ def cmd_injective(args: argparse.Namespace) -> int:
     x = _poset(args.poset, args.dual)
     klass = _class(args.klass, args.dual)
     if args.weak:
-        rep = is_weakly_injective(x, klass, cap=args.cap)
+        rep = is_weakly_injective(x, klass)
         print(dumps(rep.to_json()), end="")
         return 0 if rep.weak else 1
-    rep = is_injective(x, klass, cap=args.cap)
+    rep = is_injective(x, klass)
     print(dumps(rep.to_json()), end="")
     if rep.strong:
         return 0
@@ -102,7 +104,7 @@ def _write_dot(directory: str, name: str, p: Poset) -> None:
 def cmd_reflect(args: argparse.Namespace) -> int:
     x = _poset(args.poset, args.dual)
     klass = _class(args.klass, args.dual)
-    result = reflect(x, klass, max_steps=args.max_steps, cap=args.cap)
+    result = reflect(x, klass, max_steps=args.max_steps)
     out = {
         "converged": result.converged,
         "stages_used": result.stages_used,
@@ -124,8 +126,8 @@ def cmd_reflect(args: argparse.Namespace) -> int:
 def cmd_extend(args: argparse.Namespace) -> int:
     p = _map(args.map, args.dual)
     klass = _class(args.klass, args.dual)
-    result = reflect(p.dom, klass, max_steps=args.max_steps, cap=args.cap)
-    ext = extend_along_unit(p, result, klass, cap=args.cap)
+    result = reflect(p.dom, klass, max_steps=args.max_steps)
+    ext = extend_along_unit(p, result, klass)
     out = {
         "unit": map_to_json(result.unit),
         "extension": map_to_json(ext),
@@ -158,7 +160,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     rows = []
     ok_all = True
     for w in witness_menu(klass):
-        ok = closure_check(w, klass, sample, cap=args.cap)
+        ok = closure_check(w, klass, sample)
         ok_all = ok_all and ok
         rows.append(
             {"recipe": w.recipe, "map": map_to_json(w.produced), "ok": ok}
@@ -168,7 +170,7 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    rep = run_suite(args.suite, size=args.size, mutate=args.mutate, cap=args.cap)
+    rep = run_suite(args.suite, size=args.size, mutate=args.mutate)
     print(dumps(rep.to_json()), end="")
     return 0 if rep.passed else 1
 
@@ -201,9 +203,8 @@ def _steps(text: str) -> int:
 
 
 def _add_common(sp: argparse.ArgumentParser, run) -> None:
+    """The command default and --dual, for the subcommands that read files."""
     sp.set_defaults(run=run)
-    sp.add_argument("--cap", type=_positive, default=None,
-                    help="search budget override (default: KANINJ_SIZE_CAP)")
     sp.add_argument("--dual", action="store_true",
                     help="order-reverse all inputs (right Kan injectivity)")
 
@@ -263,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="corpus bound for the suite")
     sp.add_argument("--mutate", action="store_true",
                     help="corrupt the construction; the suite must fail")
-    _add_common(sp, cmd_verify)
+    sp.set_defaults(run=cmd_verify)
 
     sp = sub.add_parser("enumerate", help="all posets up to n elements")
     sp.add_argument("n", type=int)
-    _add_common(sp, cmd_enumerate)
+    sp.set_defaults(run=cmd_enumerate)
 
     return ap
 

@@ -1,11 +1,13 @@
 """Runtime knobs.
 
-The only global knob is the enumeration cap: a bound on the number of
+The only knob is the enumeration cap: a bound on the number of
 backtracking nodes any single monotone-map search may visit (the
 searches that certify one ``monotone_value_sets`` call share one).  It
 guards the |X|^|A| blowup without punishing searches that prune well.
 The environment variable KANINJ_SIZE_CAP overrides the default; a value
 that is not a positive integer is an error, not a silent fallback.
+Every search reads it when it runs; only the injectivity cross-check
+passes its hom-posets a fixed budget of their own (``hom_poset``'s cap).
 """
 
 import os
@@ -29,5 +31,5 @@ def size_cap() -> int:
 
 def effective_cap(cap: Optional[int]) -> int:
     """The cap a search given cap will use: cap itself, or size_cap()
-    when it is None.  Caches of capped searches key on this."""
+    when it is None.  The hom-poset cache keys on this."""
     return size_cap() if cap is None else cap

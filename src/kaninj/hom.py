@@ -22,9 +22,11 @@ sets only where a join is missing.
 Whether a poset is strong along a class, and whether a map preserves
 extensions, are decided in ``injectivity`` on top of ``left_kan``.
 
-``hom_poset(a, x, cap)`` is memoised in a bounded table keyed on both
-posets and the effective size cap, so its answer, a hom-poset or
-``SizeCapExceeded``, never depends on which calls came before.
+Every search runs under ``config.size_cap()``, read when it runs.
+``hom_poset(a, x, cap=None)`` alone takes a budget of its own, for the
+injectivity cross-check, and is memoised in a bounded table keyed on
+both posets and ``config.effective_cap(cap)``, so its answer, a
+hom-poset or ``SizeCapExceeded``, never depends on earlier calls.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
     return out
 
 
-def _least_values(target: Poset, vals, h: MonotoneMap, cap: Optional[int]) -> Optional[list]:
+def _least_values(target: Poset, vals, h: MonotoneMap) -> Optional[list]:
     """What _span_join answers when a join is missing: at each b of
     cod(h), the least value that the monotone g: cod(h) -> target with
     vals[a] <= g(h(a)) take at b (``monotone_value_sets`` at every b, the
@@ -152,12 +154,12 @@ def _least_values(target: Poset, vals, h: MonotoneMap, cap: Optional[int]) -> Op
     lower: dict = {}
     for a, b in enumerate(h.assignment):
         lower.setdefault(b, []).append(vals[a])
-    sets = monotone_value_sets(h.cod, target, lower=lower, cap=cap)
+    sets = monotone_value_sets(h.cod, target, lower=lower)
     least = None if sets is None else [target.least_of(m) for m in sets]
     return None if least is None or None in least else least
 
 
-def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanResult:
+def left_kan(f: MonotoneMap, h: MonotoneMap) -> KanResult:
     """Least g: cod(h) -> cod(f) with f <= g∘h, together with strictness
     (whether g∘h equals f on the nose).
 
@@ -172,7 +174,7 @@ def left_kan(f: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> KanRe
     assign = _span_join(f.cod, f.assignment, h.below())
     method = "pointwise"
     if assign is None:
-        assign, method = _least_values(f.cod, f.assignment, h, cap), "value_sets"
+        assign, method = _least_values(f.cod, f.assignment, h), "value_sets"
     if assign is None:
         return KanResult(False, None, False, method)
     strict = tuple(assign[v] for v in h.assignment) == f.assignment
@@ -188,7 +190,7 @@ def is_dense(f: MonotoneMap) -> bool:
     return r.exists and r.extension == MonotoneMap.identity(f.cod)
 
 
-def beck_chevalley(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> bool:
+def beck_chevalley(p: MonotoneMap, h: MonotoneMap) -> bool:
     """Commutation of extension with postcomposition at the hom-poset level:
     K(cod h, p) ∘ (-/h) = (-/h) ∘ K(dom h, p).
 

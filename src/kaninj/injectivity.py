@@ -22,13 +22,16 @@ join is missing, the least of each exact value set
 ``is_injective`` and ``is_weakly_injective`` share one scan and one
 adjoint cross-check, which builds one adjoint per class map h: the
 restriction map m = hom(h, x) must have a left adjoint t, with m∘t = id
-for the strong verdict.  Both decide from scratch every time and return
-the evidence.  The ``is_injective`` report, without its witnesses, is kept
-once per (poset, class maps, effective cap) in a bounded cache:
-``verdict`` returns its verdict string, so a caller that only needs to
-know whether a target is strong, such as ``extend_along_unit`` on every
-call, pays for the scan and its cross-check once, and
-``is_injective_map`` reads both endpoint reports from it.  A report
+for the strong verdict.  Every search runs under ``config.size_cap()``
+except the cross-check's hom-posets, which get a fixed budget of their
+own (``50 * CROSS_CHECK_CAP`` nodes) and are skipped when it runs out.
+Both decide from scratch every time and return the evidence.  The
+``is_injective`` report, without its witnesses, is kept once per
+(poset, class maps, size cap) in a bounded cache: ``verdict`` returns
+its verdict string, so a caller that only needs to know whether a
+target is strong, such as ``extend_along_unit`` on every call, pays for
+the scan and its cross-check once, and ``is_injective_map`` reads both
+endpoint reports from it.  A report
 whose cross-check disagrees with its verdict raises
 ``PostconditionFailed`` instead of being stored.
 """
@@ -41,7 +44,7 @@ from typing import Optional, Sequence
 from .cache import BoundedCache
 from .catalog import MapClass, all_posets
 from .colimits import cocomma
-from .config import effective_cap
+from .config import size_cap
 from .errors import (
     DomainMismatch,
     NotComposable,
@@ -115,13 +118,13 @@ class InjectivityReport:
         }
 
 
-def _extensions(x: Poset, maps: Sequence, cap: Optional[int]) -> tuple:
+def _extensions(x: Poset, maps: Sequence) -> tuple:
     """Every extension problem (h in maps, f: dom(h) -> x), in class and
     enumeration order, as rows (h_index, f, left_kan(f, h))."""
     return tuple(
-        (hi, f, left_kan(f, h, cap=cap))
+        (hi, f, left_kan(f, h))
         for hi, h in enumerate(maps)
-        for f in enumerate_monotone(h.dom, x, cap=cap)
+        for f in enumerate_monotone(h.dom, x)
     )
 
 
@@ -130,7 +133,7 @@ def _all_strong(table: tuple) -> bool:
     return all(res.exists and res.strict for _, _, res in table)
 
 
-def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int]):
+def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple):
     """The problems (h_index, f) of a table into p.dom, built by
     _extensions over maps, whose extension p does not carry onto the
     extension of p∘f.  Every extension into both endpoints must exist.
@@ -154,7 +157,7 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple, cap: Optional[int
         vals = [pa[v] for v in f.assignment]
         joined = _span_join(p.cod, vals, h.below())
         if joined is None:
-            joined = _least_values(p.cod, vals, h, cap)
+            joined = _least_values(p.cod, vals, h)
         if joined != [pa[v] for v in res.extension.assignment]:
             yield hi, f
 
@@ -171,7 +174,7 @@ def _small_precompose(h: MonotoneMap, x: Poset) -> Optional[MonotoneMap]:
     return _restriction(h, hb, ha)
 
 
-def _decide(x: Poset, klass: MapClass, cap: Optional[int], strong: bool) -> InjectivityReport:
+def _decide(x: Poset, klass: MapClass, strong: bool) -> InjectivityReport:
     """The scan and cross-check behind both object verdicts.
 
     With strong, x holds along h when every extension exists and is
@@ -180,7 +183,7 @@ def _decide(x: Poset, klass: MapClass, cap: Optional[int], strong: bool) -> Inje
     without, existence is enough and the cross-check asks for a left
     adjoint.
     """
-    table = _extensions(x, klass.maps, cap)
+    table = _extensions(x, klass.maps)
     failures = tuple((hi, f, "no least extension") for hi, f, res in table if not res.exists)
     held = [True] * len(klass.maps)
     for hi, _, res in table:
@@ -203,55 +206,55 @@ def _decide(x: Poset, klass: MapClass, cap: Optional[int], strong: bool) -> Inje
     return InjectivityReport(_subject(x), verdict, table, failures, cross)
 
 
-def is_weakly_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
+def is_weakly_injective(x: Poset, klass: MapClass) -> InjectivityReport:
     """Weak verdict: every f has a least extension along every h.
 
     Cross-checked, where feasible, against the equivalent statement that
     each restriction map hom(cod h, x) -> hom(dom h, x) has a left
     adjoint.
     """
-    return _decide(x, klass, cap, strong=False)
+    return _decide(x, klass, strong=False)
 
 
-def is_injective(x: Poset, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
+def is_injective(x: Poset, klass: MapClass) -> InjectivityReport:
     """Strong verdict: every extension exists and is strict; weak when
     all exist but some fail to restrict back; neither otherwise.
 
     Cross-checked, where feasible, against the adjoint characterization:
     strength along h is precisely the restriction map being a rali.
     """
-    return _decide(x, klass, cap, strong=True)
+    return _decide(x, klass, strong=True)
 
 
 _VERDICTS = BoundedCache()
 
 
-def _report(x: Poset, klass: MapClass, cap: Optional[int]) -> InjectivityReport:
-    """is_injective(x, klass, cap) without its witnesses, decided once per
-    (x, maps of klass, effective cap) and then read from a bounded cache.
+def _report(x: Poset, klass: MapClass) -> InjectivityReport:
+    """is_injective(x, klass) without its witnesses, decided once per
+    (x, maps of klass, size cap) and then read from a bounded cache.
     A report whose cross-check disagrees raises PostconditionFailed, and
     neither it nor a raised SizeCapExceeded is stored."""
 
     def decide() -> InjectivityReport:
-        rep = is_injective(x, klass, cap=cap)
+        rep = is_injective(x, klass)
         if rep.cross_check is False:
             raise PostconditionFailed(
                 f"{rep.verdict} verdict on {rep.subject} disagrees with the adjoint cross-check"
             )
         return replace(rep, witnesses=())
 
-    key = (x.key, tuple(h.key() for h in klass.maps), effective_cap(cap))
+    key = (x.key, tuple(h.key() for h in klass.maps), size_cap())
     return _VERDICTS.get(key, decide)
 
 
-def verdict(x: Poset, klass: MapClass, cap: Optional[int] = None) -> str:
-    """is_injective(x, klass, cap).verdict, decided once per (x, maps of
-    klass, effective cap); PostconditionFailed when the adjoint
-    cross-check disagrees with it."""
-    return _report(x, klass, cap).verdict
+def verdict(x: Poset, klass: MapClass) -> str:
+    """is_injective(x, klass).verdict, decided once per (x, maps of
+    klass, size cap); PostconditionFailed when the adjoint cross-check
+    disagrees with it."""
+    return _report(x, klass).verdict
 
 
-def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None) -> InjectivityReport:
+def is_injective_map(p: MonotoneMap, klass: MapClass) -> InjectivityReport:
     """Verdict for a monotone map: strong when both endpoints are strong
     and p sends each extension f/h to (p∘f)/h; weak when the endpoints
     are merely weak and p still preserves the extensions.
@@ -261,8 +264,8 @@ def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None)
     only evaluated when both endpoints are at least weak, since the
     comparison needs both extensions to exist.
     """
-    dom_rep = _report(p.dom, klass, cap)
-    cod_rep = _report(p.cod, klass, cap)
+    dom_rep = _report(p.dom, klass)
+    cod_rep = _report(p.cod, klass)
     witnesses = ()
     failures = [
         (hi, f, "domain: " + reason) for hi, f, reason in dom_rep.failures
@@ -270,10 +273,10 @@ def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None)
         (hi, f, "codomain: " + reason) for hi, f, reason in cod_rep.failures
     ]
     if dom_rep.weak and cod_rep.weak:
-        witnesses = _extensions(p.dom, klass.maps, cap)
+        witnesses = _extensions(p.dom, klass.maps)
         failures += [
             (hi, f, "extension not preserved")
-            for hi, f in _unpreserved(p, klass.maps, witnesses, cap)
+            for hi, f in _unpreserved(p, klass.maps, witnesses)
         ]
     if failures:
         verdict = "neither"
@@ -287,16 +290,16 @@ def is_injective_map(p: MonotoneMap, klass: MapClass, cap: Optional[int] = None)
     return InjectivityReport(subject, verdict, witnesses, tuple(failures), cross)
 
 
-def preserves_kan(p: MonotoneMap, h: MonotoneMap, cap: Optional[int] = None) -> bool:
+def preserves_kan(p: MonotoneMap, h: MonotoneMap) -> bool:
     """Whether p sends the extension of f along h to the extension of p∘f,
     for every f.  Both endpoints of p must be strongly injective along h;
     NotInjectiveContext otherwise."""
-    table = _extensions(p.dom, (h,), cap)
+    table = _extensions(p.dom, (h,))
     if not _all_strong(table):
         raise NotInjectiveContext("domain of p is not strongly Kan-injective")
-    if not _all_strong(_extensions(p.cod, (h,), cap)):
+    if not _all_strong(_extensions(p.cod, (h,))):
         raise NotInjectiveContext("codomain of p is not strongly Kan-injective")
-    return not any(_unpreserved(p, (h,), table, cap))
+    return not any(_unpreserved(p, (h,), table))
 
 
 def mapping_cone(h: MonotoneMap):
@@ -321,8 +324,8 @@ def cone_class(klass: MapClass) -> MapClass:
     )
 
 
-def strong_objects(max_n: int, klass: MapClass, cap: Optional[int] = None) -> tuple:
+def strong_objects(max_n: int, klass: MapClass) -> tuple:
     """Representatives of every isomorphism class with at most max_n
     elements that are strongly injective for the class, in the fixed
     enumeration order."""
-    return tuple(p for p in all_posets(max_n) if verdict(p, klass, cap=cap) == "strong")
+    return tuple(p for p in all_posets(max_n) if verdict(p, klass) == "strong")

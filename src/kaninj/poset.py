@@ -607,21 +607,19 @@ def iter_monotone_assignments(
 ):
     """Yield assignment tuples of monotone maps a -> x, optionally bounded
     below pointwise (``lower[i]`` lists elements of x that must lie below the
-    image of i).  One ``_search`` with its own budget; raises
-    SizeCapExceeded when the visited-node budget is exhausted."""
+    image of i).  One ``_search`` with its own budget of ``cap`` visited
+    nodes, ``config.size_cap()`` when None; raises SizeCapExceeded when
+    it is exhausted."""
     cap = config.effective_cap(cap)
     yield from _search(a, x, _lower_masks(a, x, lower), cap, [0])
 
 
 def enumerate_monotone(
-    a: Poset,
-    x: Poset,
-    lower: Optional[Mapping[int, Iterable[int]]] = None,
-    cap: Optional[int] = None,
+    a: Poset, x: Poset, lower: Optional[Mapping[int, Iterable[int]]] = None
 ) -> list:
     """All monotone maps a -> x, each exactly once, in lexicographic
     assignment order."""
-    out = sorted(iter_monotone_assignments(a, x, lower=lower, cap=cap))
+    out = sorted(iter_monotone_assignments(a, x, lower=lower))
     return [MonotoneMap(a, x, t, validate=False) for t in out]
 
 
@@ -640,7 +638,6 @@ def monotone_value_sets(
     a: Poset,
     x: Poset,
     lower: Optional[Mapping[int, Iterable[int]]] = None,
-    cap: Optional[int] = None,
     points: Optional[Sequence[int]] = None,
 ) -> Optional[list]:
     """For each element of ``points`` (all of ``a`` when None), in that
@@ -668,8 +665,8 @@ def monotone_value_sets(
     with the domains pinned at i: v at i, below v under i, above v over
     i; the first map it finds certifies v.  So an empty ``points`` still
     decides existence.  The certification searches of one call share
-    one budget of ``cap`` visited nodes (the configured size cap when
-    None) and raise SizeCapExceeded when it runs out.
+    one budget of ``config.size_cap()`` visited nodes and raise
+    SizeCapExceeded when it runs out.
     """
     cand = _lower_masks(a, x, lower)
     up = x.up_masks
@@ -713,7 +710,7 @@ def monotone_value_sets(
                 changed = True
         if any(c == 0 for c in cand):
             return None
-    cap = config.effective_cap(cap)
+    cap = config.size_cap()
     spent = [0]
     exact = []
     for i in range(a.n):

@@ -13,21 +13,21 @@ decided by ``injectivity``'s extension table and preservation check, the
 same ones behind the map verdicts; each sampled object's table is built
 once per check and shared by the maps out of it.
 
-The strong objects and strong maps of a (class, sample) pair are found
-once per effective size cap and kept in a bounded cache, so repeated
-closure checks against one sample share them; ``clear_caches()``
-empties it.
+Every search runs under ``config.size_cap()``.  The strong objects and
+strong maps of a (class, sample) pair are found once per size cap and
+kept in a bounded cache, so repeated closure checks against one sample
+share them; ``clear_caches()`` empties it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cache import BoundedCache
 from .catalog import MapClass
 from .colimits import cocomma, pushout, wide_pushout
-from .config import effective_cap
+from .config import size_cap
 from .errors import DomainMismatch, NotLari, SquareDoesNotCommute
 from .injectivity import _all_strong, _extensions, _unpreserved, verdict
 from .poset import MonotoneMap, classify_adjoint, enumerate_monotone, right_adjoint
@@ -149,44 +149,44 @@ def sat_reflection(
 _STRONG_PARTS = BoundedCache()
 
 
-def _strong_part(klass: MapClass, sample: Sequence, cap: Optional[int]):
+def _strong_part(klass: MapClass, sample: Sequence):
     """The strong objects of the sample and the strong maps between
-    them, found once per (class maps, sample, effective cap)."""
+    them, found once per (class maps, sample, size cap)."""
     key = (
         tuple(h.key() for h in klass.maps),
         tuple(x.key for x in sample),
-        effective_cap(cap),
+        size_cap(),
     )
-    return _STRONG_PARTS.get(key, lambda: _find_strong_part(klass, sample, cap))
+    return _STRONG_PARTS.get(key, lambda: _find_strong_part(klass, sample))
 
 
-def _find_strong_part(klass: MapClass, sample: Sequence, cap: Optional[int]):
-    strong = [x for x in sample if verdict(x, klass, cap=cap) == "strong"]
+def _find_strong_part(klass: MapClass, sample: Sequence):
+    strong = [x for x in sample if verdict(x, klass) == "strong"]
     maps = []
     for x in strong:
-        table = _extensions(x, klass.maps, cap)
+        table = _extensions(x, klass.maps)
         for y in strong:
-            for p in enumerate_monotone(x, y, cap=cap):
-                if not any(_unpreserved(p, klass.maps, table, cap)):
+            for p in enumerate_monotone(x, y):
+                if not any(_unpreserved(p, klass.maps, table)):
                     maps.append(p)
     return strong, maps
 
 
-def closure_failures(w, klass: MapClass, sample: Sequence, cap: Optional[int] = None) -> list:
+def closure_failures(w, klass: MapClass, sample: Sequence) -> list:
     """Counterexamples to the witness respecting the sample: strong
     objects that fail injectivity along the produced map, then (only if
     none) strong maps that fail to preserve extensions along it."""
     along = (_as_witness(w).produced,)
-    strong, maps = _strong_part(klass, sample, cap)
-    tables = {x.key: _extensions(x, along, cap) for x in strong}
+    strong, maps = _strong_part(klass, sample)
+    tables = {x.key: _extensions(x, along) for x in strong}
     out = [("object", x) for x in strong if not _all_strong(tables[x.key])]
     if out:
         return out
-    return [("map", p) for p in maps if any(_unpreserved(p, along, tables[p.dom.key], cap))]
+    return [("map", p) for p in maps if any(_unpreserved(p, along, tables[p.dom.key]))]
 
 
-def closure_check(w, klass: MapClass, sample: Sequence, cap: Optional[int] = None) -> bool:
+def closure_check(w, klass: MapClass, sample: Sequence) -> bool:
     """True when every sampled strong object stays strong along the
     witness and every sampled strong map keeps preserving extensions.
     A falsifier over the sample, not a decision procedure."""
-    return not closure_failures(w, klass, sample, cap=cap)
+    return not closure_failures(w, klass, sample)

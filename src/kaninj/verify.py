@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 from .catalog import (
     MapClass,
@@ -89,7 +88,7 @@ class SuiteReport:
         }
 
 
-def suite_kz(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def suite_kz(size: int = 3, mutate: bool = False) -> SuiteReport:
     """Laws of the induced KZ structure over every poset up to ``size``
     and every standard class.  Mutation replaces each reflection by a
     version with a stray isolated point, which density must catch."""
@@ -98,7 +97,7 @@ def suite_kz(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> 
         for x in all_posets(size):
             label = f"kz[{klass.name}]{_subject(x)}"
             if mutate:
-                result = reflect(x, klass, cap=cap)
+                result = reflect(x, klass)
                 broken = coproduct([result.reflected, point("stray")])
                 unit = result.unit.then(broken.injections[0])
                 checks.append(
@@ -106,7 +105,7 @@ def suite_kz(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> 
                 )
                 continue
             try:
-                report = kz_laws(x, klass, cap=cap, free_cap=6)
+                report = kz_laws(x, klass, free_cap=6)
             except NotConverged:
                 checks.append(Check(label, False, "chain did not stabilize"))
                 continue
@@ -157,7 +156,7 @@ def witness_menu(klass: MapClass) -> list:
     return out
 
 
-def suite_saturation(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def suite_saturation(size: int = 3, mutate: bool = False) -> SuiteReport:
     """Every constructed witness must pass closure_check on the sample;
     the deliberately unsaturated collapse map must fail on the posets
     with at most max(size, 2) elements, as one element cannot refute it.
@@ -166,10 +165,10 @@ def suite_saturation(size: int = 3, mutate: bool = False, cap: Optional[int] = N
     sample = all_posets(size)
     for klass in standard_classes():
         for k, w in enumerate(witness_menu(klass)):
-            ok = closure_check(w, klass, sample, cap=cap)
+            ok = closure_check(w, klass, sample)
             checks.append(Check(f"sat[{klass.name}]:{k}:{w.recipe}", ok))
         fake = SaturationWitness(MonotoneMap(chain(2), point(), [0, 0]), "assumed")
-        fake_ok = closure_check(fake, klass, all_posets(max(size, 2)), cap=cap)
+        fake_ok = closure_check(fake, klass, all_posets(max(size, 2)))
         expected = fake_ok if mutate else not fake_ok
         checks.append(
             Check(
@@ -188,7 +187,7 @@ def _cone_classes() -> list:
     return list(standard_classes()) + [collapse]
 
 
-def suite_cone(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def suite_cone(size: int = 3, mutate: bool = False) -> SuiteReport:
     """Weak injectivity along a class is strong injectivity along the
     cone legs, for objects and for maps.  Mutation swaps in the codomain
     leg of each cone, which breaks the equivalence."""
@@ -199,8 +198,8 @@ def suite_cone(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -
             f"cone({klass.name})", tuple(mapping_cone(h)[leg] for h in klass.maps)
         )
         for x in all_posets(size):
-            weak = is_weakly_injective(x, klass, cap=cap).weak
-            strong = verdict(x, cones, cap=cap) == "strong"
+            weak = is_weakly_injective(x, klass).weak
+            strong = verdict(x, cones) == "strong"
             checks.append(
                 Check(
                     f"cone-obj[{klass.name}]{_subject(x)}",
@@ -212,9 +211,9 @@ def suite_cone(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -
         small = all_posets(max(size - 1, 2))
         for x in small:
             for y in small:
-                for p in enumerate_monotone(x, y, cap=cap):
-                    weak = is_injective_map(p, klass, cap=cap).weak
-                    strong = is_injective_map(p, cones, cap=cap).strong
+                for p in enumerate_monotone(x, y):
+                    weak = is_injective_map(p, klass).weak
+                    strong = is_injective_map(p, cones).strong
                     if weak != strong:
                         disagreements += 1
         checks.append(
@@ -227,13 +226,13 @@ def suite_cone(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -
     return SuiteReport("cone", tuple(checks))
 
 
-def suite_bilimits(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def suite_bilimits(size: int = 3, mutate: bool = False) -> SuiteReport:
     """Finite products of strong objects are strong and the projections
     are strong maps.  Mutation tests the coproduct instead, which is not
     a product and must fail."""
     checks = []
     for klass in standard_classes():
-        strong = [x for x in all_posets(size) if verdict(x, klass, cap=cap) == "strong"]
+        strong = [x for x in all_posets(size) if verdict(x, klass) == "strong"]
         for i, x in enumerate(strong):
             for y in strong[i:]:
                 label = f"prod[{klass.name}]{_subject(x)}x{_subject(y)}"
@@ -242,27 +241,27 @@ def suite_bilimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
                     checks.append(
                         Check(
                             label,
-                            verdict(wrong, klass, cap=cap) == "strong",
+                            verdict(wrong, klass) == "strong",
                             "coproduct posing as product",
                         )
                     )
                     continue
                 prod, pi1, pi2 = product(x, y)
                 ok = (
-                    verdict(prod, klass, cap=cap) == "strong"
-                    and is_injective_map(pi1, klass, cap=cap).strong
-                    and is_injective_map(pi2, klass, cap=cap).strong
+                    verdict(prod, klass) == "strong"
+                    and is_injective_map(pi1, klass).strong
+                    and is_injective_map(pi2, klass).strong
                 )
                 checks.append(Check(label, ok))
     return SuiteReport("bilimits", tuple(checks))
 
 
-def _sample_colimits(cap: Optional[int]) -> list:
+def _sample_colimits() -> list:
     """Deterministic spread of colimit computations: two reflections run
     under recording, plus one of each standalone construction."""
     with record_colimits() as rec:
-        reflect(chain(2), standard_classes()[0], cap=cap)
-        reflect(antichain(2), standard_classes()[1], cap=cap)
+        reflect(chain(2), standard_classes()[0])
+        reflect(antichain(2), standard_classes()[1])
         f = MonotoneMap(antichain(2), chain(2), [0, 1])
         pushout(f, standard_classes()[1].maps[0])
         cocomma(f, MonotoneMap.identity(antichain(2)))
@@ -283,14 +282,14 @@ def _sample_colimits(cap: Optional[int]) -> list:
     return list(seen.values())
 
 
-def suite_colimits(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def suite_colimits(size: int = 3, mutate: bool = False) -> SuiteReport:
     """verify_universal over a recorded spread of computations, plus the
     thin-setting identity coequinserter = coinserter on generated
     parallel pairs.  Mutation drops a generating pair from one result.
     verify_universal is a complete proof, so ``size`` does not change
     these checks."""
     checks = []
-    sampled = _sample_colimits(cap)
+    sampled = _sample_colimits()
     if mutate:
         victim = max(
             (r for r in sampled if len(r.pairs)),
@@ -305,8 +304,8 @@ def suite_colimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
     empty = chain(0, prefix="e")
     for u in pool:
         for x in pool:
-            for f in enumerate_monotone(u, x, cap=cap):
-                for g in enumerate_monotone(u, x, cap=cap):
+            for f in enumerate_monotone(u, x):
+                for g in enumerate_monotone(u, x):
                     if count >= 25:
                         continue
                     if two_cell_exists(f, g):
@@ -329,7 +328,7 @@ def suite_colimits(size: int = 3, mutate: bool = False, cap: Optional[int] = Non
 _KNOWN_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
 
 
-def suite_smallness(size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def suite_smallness(size: int = 3, mutate: bool = False) -> SuiteReport:
     """Every map from a small poset into a chain-prefix colimit factors
     through a finite stage, and the poset enumeration matches the known
     isomorphism counts.  Mutation only offers the first stage to factor
@@ -352,7 +351,7 @@ def suite_smallness(size: int = 3, mutate: bool = False, cap: Optional[int] = No
         (antichain(2), standard_classes()[2]),
     ]
     for x, klass in instances:
-        result = reflect(x, klass, max_steps=4, cap=cap)
+        result = reflect(x, klass, max_steps=4)
         state = result.trace
         omega = chain_colimit(state.stages, state.connectors)
         usable = 1 if mutate else len(state.stages)
@@ -362,12 +361,12 @@ def suite_smallness(size: int = 3, mutate: bool = False, cap: Optional[int] = No
             # enumerated once, and only when some map needs it
             through: set = set()
             reached = 0
-            for m in enumerate_monotone(a, omega.object, cap=cap):
+            for m in enumerate_monotone(a, omega.object):
                 while m.assignment not in through and reached < usable:
                     inj = omega.injections[reached].assignment
                     through.update(
                         tuple(inj[v] for v in g)
-                        for g in iter_monotone_assignments(a, state.stages[reached], cap=cap)
+                        for g in iter_monotone_assignments(a, state.stages[reached])
                     )
                     reached += 1
                 if m.assignment not in through:
@@ -392,7 +391,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, size: int = 3, mutate: bool = False, cap: Optional[int] = None) -> SuiteReport:
+def run_suite(name: str, size: int = 3, mutate: bool = False) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](size=size, mutate=mutate, cap=cap)
+    return SUITES[name](size=size, mutate=mutate)

@@ -308,14 +308,16 @@ def test_step_even_checks_the_witness_premise():
     assert out[1].startswith("span ") and "differs from its floor on the image of h" in out[1]
 
 
-def test_step_even_passes_its_cap_to_the_value_sets():
+def test_step_even_passes_its_cap_to_the_value_sets(monkeypatch):
     # cod(h) is the diamond, whose cover graph has a cycle, so the even
     # step certifies its value sets by a search under the cap
     d = diamond()
     klass = MapClass("diamond", (MonotoneMap(antichain(2), d, [d.index["a"], d.index["b"]]),))
     st = step_odd(init_chain(antichain(2)), klass)
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
     with pytest.raises(SizeCapExceeded):
-        step_even(st, klass, cap=1)
+        step_even(st, klass)
+    monkeypatch.delenv("KANINJ_SIZE_CAP")
     assert step_even(st, klass).top == 2
 
 

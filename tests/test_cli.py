@@ -14,7 +14,7 @@ from kaninj import (
     poset_to_json,
     vee,
 )
-from kaninj.cli import main
+from kaninj.cli import build_parser, main
 from kaninj.serialize import class_to_json
 
 
@@ -222,7 +222,8 @@ def test_odd_max_steps_rejected(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["reflect", "x.json", "k.json", "--cap", "0"],
+        # --cap is gone: KANINJ_SIZE_CAP is the one budget
+        ["reflect", "x.json", "k.json", "--cap", "1"],
         ["saturate", "k.json", "--size-cap", "0"],
         ["verify", "kz", "--size-cap", "0"],
         ["reflect", "x.json", "k.json", "--max-steps", "0"],
@@ -237,10 +238,43 @@ def test_nonpositive_options_rejected(tmp_path, capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-def test_cap_cuts_search(tmp_path, capsys):
+def test_cap_cuts_search(tmp_path, monkeypatch, capsys):
     klass = write(tmp_path, "k.json", class_to_json(class_join()))
     x = write(tmp_path, "x.json", poset_to_json(antichain(2)))
-    assert main(["reflect", x, klass, "--cap", "1"]) == 2
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
+    assert main(["reflect", x, klass]) == 2
+
+
+# each subcommand with its positional arguments; the ones naming a JSON
+# file read it, and only those take --dual
+SUBCOMMANDS = {
+    "kan": ["f.json", "h.json"],
+    "dense": ["f.json"],
+    "injective": ["x.json", "k.json"],
+    "reflect": ["x.json", "k.json"],
+    "extend": ["p.json", "k.json"],
+    "cone": ["k.json"],
+    "saturate": ["k.json"],
+    "verify": ["kz"],
+    "enumerate": ["2"],
+}
+
+
+def test_dual_only_where_files_are_read_and_no_cap(capsys):
+    parser = build_parser()
+    for command, positional in SUBCOMMANDS.items():
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, *positional, "--cap", "1"])
+        assert info.value.code == 2, command
+        if positional[0].endswith(".json"):
+            assert parser.parse_args([command, *positional, "--dual"]).dual, command
+            continue
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, *positional, "--dual"])
+        assert info.value.code == 2, command
+    assert main(["enumerate", "2", "--dual"]) == 2
+    assert main(["verify", "kz", "--dual"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-5"])

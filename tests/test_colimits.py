@@ -224,7 +224,7 @@ def test_single_pair_drop_reports_are_pinned():
             for x in all_posets(4):
                 reflect(x, klass)
     seen = {}
-    for r in list(log) + _sample_colimits(None):
+    for r in list(log) + _sample_colimits():
         if len(r.gen_labels) <= 12:
             seen.setdefault((r.kind, r.gen_labels, r.gen_pairs, r.object.key), r)
     h = hashlib.sha256()

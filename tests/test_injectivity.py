@@ -125,7 +125,7 @@ def _answer_with(monkeypatch, x, table):
     """Make the extension table of the poset object x be table."""
     build = injectivity._extensions
     monkeypatch.setattr(
-        injectivity, "_extensions", lambda y, maps, cap: table if y is x else build(y, maps, cap)
+        injectivity, "_extensions", lambda y, maps: table if y is x else build(y, maps)
     )
 
 
@@ -135,7 +135,7 @@ def test_table_not_into_the_domain_is_not_composable(monkeypatch):
     klass = class_join()
     clear_caches()
     assert verdict(p.dom, klass) == verdict(p.cod, klass) == "strong"
-    _answer_with(monkeypatch, p.dom, _extensions(chain(2, prefix="z"), klass.maps, None))
+    _answer_with(monkeypatch, p.dom, _extensions(chain(2, prefix="z"), klass.maps))
     with pytest.raises(NotComposable):
         preserves_kan(p, klass.maps[0])
     with pytest.raises(NotComposable):
@@ -148,7 +148,7 @@ def test_table_for_another_map_is_a_domain_mismatch(monkeypatch):
     klass = class_join()
     clear_caches()
     assert verdict(p.dom, klass) == verdict(p.cod, klass) == "strong"
-    _answer_with(monkeypatch, p.dom, _extensions(chain(2), class_bottom().maps, None))
+    _answer_with(monkeypatch, p.dom, _extensions(chain(2), class_bottom().maps))
     with pytest.raises(DomainMismatch):
         preserves_kan(p, klass.maps[0])
     with pytest.raises(DomainMismatch):
@@ -166,7 +166,7 @@ def test_unpreserved_rows_match_brute():
     rows = unpreserved = nonstrict = 0
     for klass in _cone_classes():
         for p in _weak_maps(klass):
-            table = _extensions(p.dom, klass.maps, None)
+            table = _extensions(p.dom, klass.maps)
             want = []
             for hi, f, res in table:
                 h = klass.maps[hi]
@@ -177,7 +177,7 @@ def test_unpreserved_rows_match_brute():
                     want.append((hi, f))
                 rows += 1
                 nonstrict += not strict
-            got = list(_unpreserved(p, klass.maps, table, None))
+            got = list(_unpreserved(p, klass.maps, table))
             assert got == want, (klass.name, p)
             unpreserved += len(want)
     # both outcomes and non-strict extensions (the collapse class) occur
@@ -189,8 +189,8 @@ def test_unpreserved_falls_back_to_left_kan(monkeypatch):
     cases = []
     for klass in _cone_classes():
         for p in _weak_maps(klass):
-            table = _extensions(p.dom, klass.maps, None)
-            cases.append((p, klass.maps, table, list(_unpreserved(p, klass.maps, table, None))))
+            table = _extensions(p.dom, klass.maps)
+            cases.append((p, klass.maps, table, list(_unpreserved(p, klass.maps, table))))
     assert any(rows for *_, rows in cases)
     misses = []
 
@@ -200,7 +200,7 @@ def test_unpreserved_falls_back_to_left_kan(monkeypatch):
 
     monkeypatch.setattr(injectivity, "_span_join", missing)
     for p, maps, table, rows in cases:
-        assert list(_unpreserved(p, maps, table, None)) == rows
+        assert list(_unpreserved(p, maps, table)) == rows
     assert len(misses) == sum(len(table) for _, _, table, _ in cases)
 
 
@@ -208,9 +208,9 @@ def test_map_verdict_decides_each_endpoint_once(monkeypatch):
     calls = []
     decide = injectivity.is_injective
 
-    def counted(x, klass, cap=None):
+    def counted(x, klass):
         calls.append(x.key)
-        return decide(x, klass, cap=cap)
+        return decide(x, klass)
 
     monkeypatch.setattr(injectivity, "is_injective", counted)
     clear_caches()

@@ -396,22 +396,26 @@ def test_monotone_value_sets_infeasible():
     assert monotone_value_sets(chain(2), empty()) is None
 
 
-def test_monotone_value_sets_certification_is_capped():
+def test_monotone_value_sets_certification_is_capped(monkeypatch):
     # the diamond's cover graph has a cycle, so its values are certified
     # by search, and that search counts its nodes against the cap
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
     with pytest.raises(SizeCapExceeded) as info:
-        monotone_value_sets(diamond(), chain(3), cap=1)
+        monotone_value_sets(diamond(), chain(3))
     err = info.value
     assert (err.cap, err.dom_n, err.cod_n, err.visited) == (1, 4, 3, 2)
+    monkeypatch.delenv("KANINJ_SIZE_CAP")
     # every constant map exists, so each element takes every value
     assert monotone_value_sets(diamond(), chain(3)) == [0b111] * 4
     # the searches of one call share one budget: 48 nodes in all here,
     # and 64 for the bowtie into the diamond
     for a, x, total in [(diamond(), chain(3), 48), (bowtie(), diamond(), 64)]:
+        monkeypatch.setenv("KANINJ_SIZE_CAP", str(total - 1))
         with pytest.raises(SizeCapExceeded) as info:
-            monotone_value_sets(a, x, cap=total - 1)
+            monotone_value_sets(a, x)
         assert info.value.visited == total
-        assert monotone_value_sets(a, x, cap=total) == [x.full_mask] * 4
+        monkeypatch.setenv("KANINJ_SIZE_CAP", str(total))
+        assert monotone_value_sets(a, x) == [x.full_mask] * 4
 
 
 def test_monotone_value_sets_on_points_match_brute_force():

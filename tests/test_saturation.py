@@ -169,12 +169,12 @@ def test_raw_map_is_assumed_member():
 
 
 def test_strong_part_cache_keys_on_effective_cap_and_clears(monkeypatch):
-    strong, _ = _strong_part(class_join(), SAMPLE, None)
+    strong, _ = _strong_part(class_join(), SAMPLE)
     assert strong and len(_STRONG_PARTS) >= 1
     # a cap set later is honoured, not answered from the default-cap entry
     monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
     with pytest.raises(SizeCapExceeded):
-        _strong_part(class_join(), SAMPLE, None)
+        _strong_part(class_join(), SAMPLE)
     monkeypatch.delenv("KANINJ_SIZE_CAP")
     clear_caches()
     assert len(_STRONG_PARTS) == 0
