@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import MapClass
-from .colimits import ColimitResult, chain_colimit, glue
+from .colimits import _RECORDERS, ColimitResult, chain_colimit, glue
 from .errors import (
     DomainMismatch,
     NotConverged,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hom import _least_values, _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
-from .poset import MonotoneMap, Poset, _mask_rows, enumerate_monotone, monotone_value_sets
+from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, monotone_value_sets
 
 __all__ = [
     "SpanRecord",
@@ -255,8 +255,10 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
     only applies the quotient map so far, a plain tuple.  The pairs a
     span forces at b are the bits of its set at b outside the up-set of
     its witness value; a pass collects them as one bitmask per witness
-    value t and hands them to the quotient as one index array, in
-    ascending (t, v) order.
+    value t.  The quotient gets t <= v only for the minimal v of t's
+    mask (``Poset.minimal``), which close to the same order; while a
+    ``record_colimits()`` bucket is open it gets every forced pair, in
+    ascending (t, v) order, so a recorded presentation lists them all.
     """
     i1 = state.top
     if i1 % 2 == 0:
@@ -307,10 +309,16 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
             added_total[si] = added_total.get(si, 0) + added
         if not any(forced):
             break
-        t, v = np.nonzero(_mask_rows(forced, cur.n))
-        pairs = np.zeros((len(t), 2, 2), dtype=np.intp)
-        pairs[:, 0, 1] = t
-        pairs[:, 1, 1] = v
+        rows = [t for t, m in enumerate(forced) if m]
+        masks = [forced[t] for t in rows]
+        if _RECORDERS:
+            ks = [k for k, m in enumerate(masks) for _ in _bits(m)]
+            vs = [v for m in masks for v in _bits(m)]
+        else:
+            ks, vs = cur.minimal(masks)
+        pairs = np.zeros((len(vs), 2, 2), dtype=np.intp)
+        pairs[:, 0, 1] = [rows[k] for k in ks]
+        pairs[:, 1, 1] = vs
         res = glue("coequinserter", [("q", cur)], ineq_pairs=pairs)
         cur = res.object
         conn = tuple(res.injections[0].assignment[v] for v in conn)

@@ -33,7 +33,7 @@ class SizeCapExceeded(KanInjError):
         super().__init__(
             f"monotone map search from a {dom_n}-element poset into a "
             f"{cod_n}-element poset exceeded cap of {cap} nodes "
-            f"({visited} visited)"
+            f"({visited} visited); set KANINJ_SIZE_CAP to raise it"
         )
 
 

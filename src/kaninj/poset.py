@@ -85,6 +85,20 @@ def _renumber(masks: Sequence[int], order: Sequence[int]) -> list:
     return out
 
 
+def _minimal(ranked: Sequence[int], masks: Sequence[int], order: Sequence[int]) -> tuple:
+    """(ks, vs): k and order[q] for each minimal bit q of masks[k], with
+    bits numbered by a linear extension whose up-sets are ``ranked``.  The
+    lowest bit left is minimal; dropping its up-set leaves the rest."""
+    ks, vs = [], []
+    for k, left in enumerate(masks):
+        while left:
+            q = (left & -left).bit_length() - 1
+            ks.append(k)
+            vs.append(order[q])
+            left &= ~ranked[q]
+    return ks, vs
+
+
 def _transitive(up: Sequence[int]) -> bool:
     """Whether a relation given by row bitmasks (bit j of up[i] iff i is
     related to j) is transitive: each row holds the rows of its bits."""
@@ -170,9 +184,10 @@ class Poset:
             raise ValueError("up-set masks do not match the elements")
         if any(not m >> i & 1 for i, m in enumerate(self.up_masks)):
             raise ValueError("leq is not reflexive")
-        if any(m & d != 1 << i for i, (m, d) in enumerate(zip(self.up_masks, self.down_masks))):
+        up = self.up_masks
+        if any(up[j] >> i & 1 for i, m in enumerate(up) for j in _bits(m ^ 1 << i)):
             raise CycleDetected("leq is not antisymmetric")
-        if not _transitive(self.up_masks):
+        if not _transitive(up):
             raise ValueError("leq is not transitively closed")
 
     # -- basic access ----------------------------------------------------
@@ -223,24 +238,28 @@ class Poset:
         return tuple(_row_masks(_mask_rows(self.up_masks, self.n).T))
 
     @cached_property
-    def cover_pairs(self) -> tuple:
-        """(i, j) for each j covering i, ascending: the minimal elements
-        of i's strict up-set.  An element's up-set is larger than those
-        of the elements above it, so ranking the elements by up-set size,
-        largest first, gives a linear extension.  With the bits numbered
-        by rank, the lowest bit left is minimal, and dropping its up-set
-        leaves the elements not above it."""
+    def _ranked(self) -> tuple:
+        """(order, masks): the elements by up-set size, largest first, and
+        the up-set of order[p] as masks[p], bit q standing for order[q].
+        An up-set is larger than those of the elements above, so the
+        ranking is a linear extension."""
         up = self.up_masks
         order = sorted(range(self.n), key=lambda i: -up[i].bit_count())
-        ranked = _renumber([up[i] for i in order], order)
-        pairs = []
-        for p, i in enumerate(order):
-            left = ranked[p] ^ 1 << p
-            while left:
-                q = (left & -left).bit_length() - 1
-                pairs.append((i, order[q]))
-                left &= ~ranked[q]
-        return tuple(sorted(pairs))
+        return order, _renumber([up[i] for i in order], order)
+
+    def minimal(self, masks: Sequence[int]) -> tuple:
+        """(ks, vs), with a k in ks and the v at the same place in vs for
+        each minimal element v of the set masks[k]."""
+        order, ranked = self._ranked
+        return _minimal(ranked, _renumber(masks, order), order)
+
+    @cached_property
+    def cover_pairs(self) -> tuple:
+        """(i, j) for each j covering i, ascending: the minimal elements
+        of i's strict up-set."""
+        order, ranked = self._ranked
+        ps, vs = _minimal(ranked, [m ^ 1 << p for p, m in enumerate(ranked)], order)
+        return tuple(sorted([(order[p], v) for p, v in zip(ps, vs)]))
 
     @cached_property
     def lower_covers(self) -> list:

@@ -30,6 +30,7 @@ from kaninj import (
     map_to_json,
     point,
     poset_to_json,
+    record_colimits,
     reflect,
     standard_classes,
     step_even,
@@ -380,3 +381,41 @@ def test_wide_chain_digest(n, klass):
             if j:
                 m = state.connectors[j - 1].then(m)
 
+
+@pytest.mark.parametrize(
+    "n,klass",
+    [pytest.param(4, k, id=k.name) for k in (class_join(), class_bottom_join())]
+    + [pytest.param(5, k, id=f"antichain5-{k.name}") for k in (class_join(), class_bottom_join())],
+)
+def test_recorder_changes_only_the_inserted_pairs(n, klass, monkeypatch):
+    # outside a recorder the even step inserts t <= v only for the
+    # minimal v of each forced mask, inside one every forced pair; the
+    # chain is the same either way
+    inserted = []
+    glue = sys.modules["kaninj.chain"].glue
+
+    def spy(kind, pieces, ineq_pairs=(), eq_pairs=()):
+        if kind == "coequinserter":
+            inserted.append((pieces[0][1], [(int(t), int(v)) for t, v in ineq_pairs[:, :, 1]]))
+        return glue(kind, pieces, ineq_pairs, eq_pairs)
+
+    monkeypatch.setattr(sys.modules["kaninj.chain"], "glue", spy)
+    outside = reflect(antichain(n), klass)
+    reduced, inserted[:] = inserted[:], []
+    with record_colimits():
+        inside = reflect(antichain(n), klass)
+    assert chain_digest(outside) == chain_digest(inside)
+    assert chain_digest(outside) == {4: WIDE_DIGESTS, 5: WIDE5_DIGESTS}[n][klass.name]
+    assert len(reduced) == len(inserted)
+    for (cur, few), (_, every) in zip(reduced, inserted):
+        assert set(few) <= set(every) and every == sorted(every)
+        lows: dict = {}
+        for t, v in few:
+            lows.setdefault(t, []).append(v)
+        up = cur.up_masks
+        # each t's inserted v form an antichain below every v forced on t
+        for t, v in every:
+            assert any(up[u] >> v & 1 for u in lows[t])
+        for vs in lows.values():
+            assert not any(u != v and up[u] >> v & 1 for u in vs for v in vs)
+    assert sum(len(few) for _, few in reduced) < sum(len(every) for _, every in inserted)

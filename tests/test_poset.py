@@ -265,6 +265,37 @@ def test_close_and_collapse_rejects_out_of_range_generators():
         close_and_collapse([], [(0, 0)])
 
 
+def test_validate_reads_antisymmetry_off_the_up_sets():
+    # a cycle is reported before the missing a <= c it also leaves
+    with pytest.raises(CycleDetected):
+        Poset(["a", "b", "c"], [0b011, 0b111, 0b100])
+    p = wide_diamond(1100)
+    p.validate()
+    assert "down_masks" not in vars(p)
+
+
+def test_minimal_pairs_close_like_all_forced_pairs():
+    # the even step inserts t <= v only for the minimal v of each forced
+    # mask; with the cover pairs they close to the same poset and collapse.
+    # all_posets lists each poset with its index order a linear extension,
+    # so the duals are here for posets where it is not.
+    rng = random.Random(19)
+    for p in [*all_posets(5), *(q.dual() for q in all_posets(5))]:
+        up = p.up_masks
+        for _ in range(6):
+            forced = [rng.getrandbits(p.n) & ~up[t] for t in range(p.n)]
+            full = [(t, v) for t, m in enumerate(forced) for v in range(p.n) if m >> v & 1]
+            reduced = list(zip(*p.minimal(forced)))
+            want = close_and_collapse(p.elements, list(p.cover_pairs) + full)
+            got = close_and_collapse(p.elements, list(p.cover_pairs) + reduced)
+            assert got[0].key == want[0].key and got[1] == want[1]
+            for t, m in enumerate(forced):
+                members = [v for v in range(p.n) if m >> v & 1]
+                assert sorted(v for k, v in reduced if k == t) == [
+                    v for v in members if not any(u != v and up[u] >> v & 1 for u in members)
+                ]
+
+
 def test_validate_accepts_wide_closed_poset():
     # with bot and top themselves, 256 elements lie between bot and top
     p = wide_diamond(254)
