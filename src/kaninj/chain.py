@@ -38,7 +38,15 @@ from .errors import (
 )
 from .hom import _least_values, _span_join, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
-from .poset import MonotoneMap, Poset, _bits, enumerate_monotone, monotone_value_sets
+from .poset import (
+    MonotoneMap,
+    Poset,
+    _bits,
+    _bound_row,
+    enumerate_monotone,
+    iter_monotone_assignments,
+    monotone_value_sets,
+)
 
 __all__ = [
     "SpanRecord",
@@ -139,29 +147,35 @@ def init_chain(x: Poset) -> ChainState:
     return ChainState((x,), ())
 
 
-def _relabel(p: Poset, stage: int):
-    """Copy of p with flat labels s<stage>x<k>, plus the identity-shaped
-    isomorphism onto it.  Keeps stage posets from accumulating nested
-    gluing tags."""
+def _relabel(p: Poset, stage: int) -> Poset:
+    """Copy of p with flat labels s<stage>x<k>, in p's index order, so a
+    map into p is the same assignment into the copy.  Keeps stage posets
+    from accumulating nested gluing tags."""
     width = max(4, len(str(max(p.n - 1, 0))))
     labels = [f"s{stage}x{k:0{width}d}" for k in range(p.n)]
-    q = Poset(labels, p.up_masks, validate=False)
-    return q, MonotoneMap(p, q, range(p.n), validate=False)
+    return Poset(labels, p.up_masks, validate=False)
 
 
 def step_odd(state: ChainState, klass: MapClass) -> ChainState:
     """Adjoin a pushout witness for every span out of the current stage.
 
-    A span whose witness was already minted at an earlier stage is not
-    minted again: its registered record, pushed forward along the
-    connectors, is the same span, and the even steps keep constraining
-    that copy.  Re-minting would only create a duplicate that the next
-    quotient merges back, and the duplicates dominate the chain's cost.
+    The spans are the monotone maps f: dom(h) -> stage for each h of the
+    class, taken as sorted assignment tuples.  A span whose witness was
+    already minted at an earlier stage is not minted again: its
+    registered record, pushed forward along the connectors, is the same
+    span, and the even steps keep constraining that copy.  Re-minting
+    would only create a duplicate that the next quotient merges back,
+    and the duplicates dominate the chain's cost.  A map is built only
+    for a span that is minted.
 
     The witnesses for the remaining spans are glued in one step: one
     copy of the stage plus one copy of cod(h) per span, identified along
     the span legs.  That is the wide pushout of the spanwise pushouts,
-    without materializing a full copy of the stage per span.
+    without materializing a full copy of the stage per span.  The
+    relabelled stage keeps the pushout's index order, so the connector
+    and each coprojection take the assignments of its injections as
+    they are.  Each square is checked on those tuples, conn(f(a)) ==
+    coproj(h(a)) for every a; SquareDoesNotCommute otherwise.
 
     With no spans at all (empty class, or nothing maps in) the stage is
     repeated with an identity connector.
@@ -175,12 +189,12 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
         (rec.h_index, tuple(to_top[rec.stage][v] for v in rec.f.assignment))
         for rec in state.span_registry
     }
-    spans = []
-    for hi, h in enumerate(klass):
-        for f in enumerate_monotone(h.dom, xi):
-            if (hi, tuple(f.assignment)) in minted:
-                continue
-            spans.append((hi, h, f))
+    spans = [
+        (hi, h, f)
+        for hi, h in enumerate(klass)
+        for f in sorted(iter_monotone_assignments(h.dom, xi))
+        if (hi, f) not in minted
+    ]
     if not spans:
         ident = MonotoneMap.identity(xi)
         return ChainState(
@@ -197,23 +211,31 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
         [
             (0, fa, k, ha)
             for k, (_, h, f) in enumerate(spans, 1)
-            for fa, ha in zip(f.assignment, h.assignment)
+            for fa, ha in zip(f, h.assignment)
         ],
         dtype=np.intp,
     ).reshape(-1, 2, 2)
     wide = glue("wide_pushout", pieces, eq_pairs=eq)
-    nxt, relab = _relabel(wide.object, i + 1)
-    conn = wide.injections[0].then(relab)
+    nxt = _relabel(wide.object, i + 1)
+    conn = wide.injections[0].assignment
     records = []
-    for k, (hi, h, f) in enumerate(spans):
-        coproj = wide.injections[k + 1].then(relab)
-        strict = f.then(conn) == h.then(coproj)
+    for (hi, h, f), inj in zip(spans, wide.injections[1:]):
+        coproj = inj.assignment
+        strict = all(conn[fa] == coproj[ha] for fa, ha in zip(f, h.assignment))
         if not strict:
             raise SquareDoesNotCommute("pushout square must commute exactly")
-        records.append(SpanRecord(i, hi, f, coproj, strict))
+        records.append(
+            SpanRecord(
+                i,
+                hi,
+                MonotoneMap(h.dom, xi, f, validate=False),
+                MonotoneMap(h.cod, nxt, coproj, validate=False),
+                strict,
+            )
+        )
     return ChainState(
         state.stages + (nxt,),
-        state.connectors + (conn,),
+        state.connectors + (MonotoneMap(xi, nxt, conn, validate=False),),
         state.span_registry + tuple(records),
         state.gamma_registry,
     )
@@ -251,12 +273,16 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
     relation, so the loop terminates.
 
     Every span's floor and witness are pushed into the odd stage once,
-    through the composites of ``ChainState.assignments_to``; a pass then
-    only applies the quotient map so far, a plain tuple.  The pairs a
-    span forces at b are the bits of its set at b outside the up-set of
-    its witness value; a pass collects them as one bitmask per witness
-    value t.  The quotient gets t <= v only for the minimal v of t's
-    mask (``Poset.minimal``), which close to the same order; while a
+    through the composites of ``ChainState.assignments_to``, and the
+    spans are grouped by class map.  A pass then only applies the
+    quotient map so far, a plain tuple: for each class map h it builds
+    one row of starting domains per span, row[h(a)] the meet of the
+    up-sets of conn(floor(a)) (``poset._bound_row``), and asks
+    ``monotone_value_sets`` for every row of h in one call.  The pairs a span forces at b are the
+    bits of its set at b outside the up-set of its witness value; a
+    pass collects them as one bitmask per witness value t.  The
+    quotient gets t <= v only for the minimal v of t's mask
+    (``Poset.minimal``), which close to the same order; while a
     ``record_colimits()`` bucket is open it gets every forced pair, in
     ascending (t, v) order, so a recorded presentation lists them all.
     """
@@ -265,65 +291,59 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
         raise ValueError("even step must start from an odd stage")
     x1 = state.stages[i1]
     to_top = state.assignments_to(i1)
-    outside = [
-        tuple(b for b in range(h.cod.n) if b not in h.assignment) for h in klass.maps
-    ]
-    spans = [
-        (
-            klass.maps[rec.h_index],
-            outside[rec.h_index],
-            tuple(to_top[rec.stage][v] for v in rec.f.assignment),
-            tuple(to_top[rec.stage + 1][v] for v in rec.coproj.assignment),
-        )
-        for rec in state.span_registry
-    ]
-    for si, (h, _, floor, witness) in enumerate(spans):
+    # h index -> (h, points outside h's image, [(span index, floor, witness at the points)])
+    groups: dict = {}
+    for si, rec in enumerate(state.span_registry):
+        h = klass.maps[rec.h_index]
+        floor = tuple(to_top[rec.stage][v] for v in rec.f.assignment)
+        witness = tuple(to_top[rec.stage + 1][v] for v in rec.coproj.assignment)
         if any(witness[b] != floor[a] for a, b in enumerate(h.assignment)):
             raise SquareDoesNotCommute(
                 f"span {si}: its witness differs from its floor on the image of h"
             )
+        if rec.h_index not in groups:
+            points = tuple(b for b in range(h.cod.n) if b not in h.assignment)
+            groups[rec.h_index] = (h, points, [])
+        _, points, spans = groups[rec.h_index]
+        spans.append((si, floor, tuple(witness[b] for b in points)))
     cur = x1
     conn = tuple(range(x1.n))
-    realized = {}
-    added_total = {}
+    realized = [False] * len(state.span_registry)
+    added_total = [0] * len(state.span_registry)
     while True:
         forced = [0] * cur.n
         up = cur.up_masks
-        for si, (h, points, floor, witness) in enumerate(spans):
-            lower: dict = {}
-            for a in range(h.dom.n):
-                lower.setdefault(h.assignment[a], []).append(conn[floor[a]])
-            sets = monotone_value_sets(h.cod, cur, lower=lower, points=points)
-            if sets is None:
-                realized[si] = False
-                added_total.setdefault(si, 0)
-                continue
-            realized[si] = True
-            added = 0
-            for b, m in zip(points, sets):
-                t = conn[witness[b]]
-                new = m & ~up[t]
-                if new:
-                    forced[t] |= new
-                    added += new.bit_count()
-            added_total[si] = added_total.get(si, 0) + added
+        for h, points, spans in groups.values():
+            rows = [_bound_row(h, cur, [conn[v] for v in floor]) for _, floor, _ in spans]
+            for (si, _, tops), sets in zip(spans, monotone_value_sets(h.cod, cur, rows, points)):
+                realized[si] = sets is not None
+                if sets is None:
+                    continue
+                added = 0
+                for t, m in zip(tops, sets):
+                    t = conn[t]
+                    new = m & ~up[t]
+                    if new:
+                        forced[t] |= new
+                        added += new.bit_count()
+                added_total[si] += added
         if not any(forced):
             break
-        rows = [t for t, m in enumerate(forced) if m]
-        masks = [forced[t] for t in rows]
+        ts = [t for t, m in enumerate(forced) if m]
+        masks = [forced[t] for t in ts]
         if _RECORDERS:
             ks = [k for k, m in enumerate(masks) for _ in _bits(m)]
             vs = [v for m in masks for v in _bits(m)]
         else:
             ks, vs = cur.minimal(masks)
         pairs = np.zeros((len(vs), 2, 2), dtype=np.intp)
-        pairs[:, 0, 1] = [rows[k] for k in ks]
+        pairs[:, 0, 1] = [ts[k] for k in ks]
         pairs[:, 1, 1] = vs
         res = glue("coequinserter", [("q", cur)], ineq_pairs=pairs)
         cur = res.object
         conn = tuple(res.injections[0].assignment[v] for v in conn)
     gammas = tuple(
-        GammaRecord(i1, si, realized.get(si, False), added_total.get(si, 0))
+        GammaRecord(i1, si, realized[si], added_total[si])
         for si in range(len(state.span_registry))
     )
     return ChainState(

@@ -254,14 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("saturate", help="closure-check generated witnesses")
     sp.add_argument("klass", help="JSON file for the map class")
-    sp.add_argument("--size-cap", type=_positive, default=3, dest="size",
-                    help="corpus bound for the closure sample")
+    sp.add_argument("--size", type=_positive, default=3,
+                    help="the closure sample holds the posets with at most this "
+                         "many elements; the search budget is KANINJ_SIZE_CAP")
     _add_common(sp, cmd_saturate)
 
     sp = sub.add_parser("verify", help="run a named invariant suite")
     sp.add_argument("suite", choices=sorted(SUITES))
-    sp.add_argument("--size-cap", type=_positive, default=3, dest="size",
-                    help="corpus bound for the suite")
+    sp.add_argument("--size", type=_positive, default=3,
+                    help="the suite's corpus holds the posets with at most this "
+                         "many elements; the search budget is KANINJ_SIZE_CAP")
     sp.add_argument("--mutate", action="store_true",
                     help="corrupt the construction; the suite must fail")
     sp.set_defaults(run=cmd_verify)

@@ -2,8 +2,9 @@
 
 The only knob is the enumeration cap: a bound on the number of
 backtracking nodes any single monotone-map search may visit (the
-searches that certify one ``monotone_value_sets`` call share one).  It
-guards the |X|^|A| blowup without punishing searches that prune well.
+searches that certify one row of a ``monotone_value_sets`` call share
+one).  It guards the |X|^|A| blowup without punishing searches that
+prune well.
 The environment variable KANINJ_SIZE_CAP overrides the default; a value
 that is not a positive integer is an error, not a silent fallback.
 Every search reads it when it runs; only the injectivity cross-check

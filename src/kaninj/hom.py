@@ -41,6 +41,7 @@ from .errors import DomainMismatch, NotInjectiveContext
 from .poset import (
     MonotoneMap,
     Poset,
+    _bound_row,
     _fibers,
     _preimage,
     iter_monotone_assignments,
@@ -148,13 +149,10 @@ def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
 def _least_values(target: Poset, vals, h: MonotoneMap) -> Optional[list]:
     """What _span_join answers when a join is missing: at each b of
     cod(h), the least value that the monotone g: cod(h) -> target with
-    vals[a] <= g(h(a)) take at b (``monotone_value_sets`` at every b, the
-    routine the even step asks at its points); None when a set of values
-    is empty or has no least element."""
-    lower: dict = {}
-    for a, b in enumerate(h.assignment):
-        lower.setdefault(b, []).append(vals[a])
-    sets = monotone_value_sets(h.cod, target, lower=lower)
+    vals[a] <= g(h(a)) take at b (a one-row ``monotone_value_sets`` call
+    at every b, the routine the even step asks at its points); None when
+    a set of values is empty or has no least element."""
+    sets = monotone_value_sets(h.cod, target, [_bound_row(h, target, vals)])[0]
     least = None if sets is None else [target.least_of(m) for m in sets]
     return None if least is None or None in least else least
 

@@ -20,8 +20,12 @@ Conventions used throughout the package:
 * One backtracking search (``_search``) finds monotone maps, over a value
   mask per element: ``iter_monotone_assignments`` enumerates with it, and
   ``monotone_value_sets``, the one value-set routine, certifies each
-  value with it, pinned at one point, under one node budget per call,
-  unless the cover graph of the domain is a forest.
+  value with it, pinned at one point, unless the cover graph of the
+  domain is a forest.  That routine answers many maps out of one domain
+  in one call, one row of starting domains each: the even step asks it
+  once per class map and pass, with a row per span, and ``left_kan``
+  with one row.  Each row has its own node budget, and on a forest of
+  covers the passes are planned once per call.
 * Joins are memoized: ``join_mask`` keeps each poset's answers keyed by
   the mask of the elements joined, at most ``cache.BOUND`` of them, and a
   map keeps its ``below`` table after the first call.  Both live and die
@@ -411,7 +415,7 @@ class MonotoneMap:
     def __init__(self, dom: Poset, cod: Poset, assignment: Sequence[int], validate: bool = True):
         self.dom = dom
         self.cod = cod
-        self.assignment = tuple(int(a) for a in assignment)
+        self.assignment = tuple(map(int, assignment))
         self._key = None
         self._below = None
         if validate:
@@ -586,11 +590,25 @@ def _lower_masks(a: Poset, x: Poset, lower: Optional[Mapping[int, Iterable[int]]
     return masks
 
 
+def _bound_row(h: "MonotoneMap", x: Poset, vals: Iterable[int]) -> list:
+    """The starting domains of the maps g: cod(h) -> x with
+    vals[a] <= g(h(a)) for every a, as one row for
+    ``monotone_value_sets``: row[b] is the meet of the up-sets of the
+    vals[a] with h(a) = b, ``x.full_mask`` where there is none.  Since
+    full & m is m, a lone bound's up-set is kept itself, not copied."""
+    up, full = x.up_masks, x.full_mask
+    row = [full] * h.cod.n
+    for b, v in zip(h.assignment, vals):
+        m = up[v]
+        row[b] = m if row[b] is full else row[b] & m
+    return row
+
+
 def _search(a: Poset, x: Poset, masks: Sequence[int], cap: int, spent: list):
     """Yield the assignments of monotone maps a -> x that take a value in
     masks[e] at each e.  Backtracks over a linear extension with bitmask
     pruning, counting each value tried in spent[0], which the searches
-    of one call share; SizeCapExceeded once the count passes cap."""
+    of one value-set row share; SizeCapExceeded once the count passes cap."""
     n = a.n
     order = a.topo_order
     lower_cov = a.lower_covers
@@ -653,15 +671,48 @@ def _union(masks: list, mask: int) -> int:
     return out
 
 
+def _forest_plan(a: Poset, points: Sequence[int]) -> list:
+    """The directional passes of ``monotone_value_sets`` on a forest of
+    covers: (r, arcs) for each point r, then for the lowest-indexed
+    element r of each component with no point.  An arc is (c, p, kind),
+    leaves first: kind 0 when the child c lies above its parent p, 1 when
+    it lies below and its domain is still an up-set, 2 when it lies
+    below and its domain may no longer be one (an arc of kind 0 entered
+    its subtree)."""
+    roots, rest = list(points), a.full_mask
+    for r in roots:
+        rest &= ~a.cover_tree(r)[0]
+    while rest:
+        roots.append((rest & -rest).bit_length() - 1)
+        rest &= ~a.cover_tree(roots[-1])[0]
+    plan = []
+    for r in roots:
+        upset = [True] * a.n
+        arcs = []
+        for c, p, below in a.cover_tree(r)[1]:
+            if not below:
+                arcs.append((c, p, 0))
+                upset[p] = False
+            else:
+                arcs.append((c, p, 1 if upset[c] else 2))
+        plan.append((r, arcs))
+    return plan
+
+
 def monotone_value_sets(
     a: Poset,
     x: Poset,
-    lower: Optional[Mapping[int, Iterable[int]]] = None,
+    rows: Sequence[Sequence[int]],
     points: Optional[Sequence[int]] = None,
-) -> Optional[list]:
-    """For each element of ``points`` (all of ``a`` when None), in that
-    order, the bitmask of values that some monotone map a -> x
-    (respecting ``lower``) takes there; None when no map exists.
+) -> list:
+    """One result per row of ``rows``: for each element of ``points``
+    (all of ``a`` when None), in that order, the bitmask of values that
+    some monotone map a -> x takes there, among the maps that take a
+    value in row[e] at each e of a; None when no such map exists.  Each
+    row[e] is an intersection of up-sets of x (``x.full_mask`` when e
+    has no lower bound), so a row is the starting domains of one map's
+    search, and a caller with many maps out of ``a`` asks for all of
+    them in one call.
 
     When the cover graph of ``a`` is a forest, each point's set comes
     from directional arc consistency toward it (Freuder, "A sufficient
@@ -670,51 +721,56 @@ def monotone_value_sets(
     to the subtree hanging below it, and the values left at the point
     are exactly its set.  A component with no point gets one such pass,
     toward its lowest-indexed element, to decide whether it has a map
-    at all.  Every starting domain is an intersection of up-sets, hence
-    an up-set, and intersecting with the union of the up-sets over an
-    up-set keeps it one.  So an arc whose child lies below its parent
-    intersects with the child's domain directly while that domain is
-    still an up-set; only an arc whose child lies above its parent
-    needs the union, and its parent's domain is no longer known to be
-    an up-set.
+    at all.  Every starting domain is an up-set, and intersecting with
+    the union of the up-sets over an up-set keeps it one.  So an arc
+    whose child lies below its parent intersects with the child's domain
+    directly while that domain is still an up-set; only an arc whose
+    child lies above its parent needs the union, and its parent's domain
+    is no longer known to be an up-set.  Which arcs are which depends on
+    ``a`` and ``points`` alone, so the passes are planned once per call
+    (``_forest_plan``) and every row runs the same plan.
 
-    Otherwise arc consistency over the cover constraints runs to a
-    fixpoint, and each surviving value v at every element i, requested
-    or not, is certified by the monotone search itself (``_search``),
-    with the domains pinned at i: v at i, below v under i, above v over
-    i; the first map it finds certifies v.  So an empty ``points`` still
-    decides existence.  The certification searches of one call share
-    one budget of ``config.size_cap()`` visited nodes and raise
-    SizeCapExceeded when it runs out.
+    Otherwise, for each row, arc consistency over the cover constraints
+    runs to a fixpoint, and each surviving value v at every element i,
+    requested or not, is certified by the monotone search itself
+    (``_search``), with the domains pinned at i: v at i, below v under
+    i, above v over i; the first map it finds certifies v.  So an empty
+    ``points`` still decides existence.  The certification searches of
+    one row share one budget of ``config.size_cap()`` visited nodes and
+    raise SizeCapExceeded when it runs out; each row has a budget of its
+    own.
     """
-    cand = _lower_masks(a, x, lower)
     up = x.up_masks
     points = range(a.n) if points is None else points
     if a.cover_forest:
-        roots, rest = list(points), a.full_mask
-        for r in roots:
-            rest &= ~a.cover_tree(r)[0]
-        while rest:
-            roots.append((rest & -rest).bit_length() - 1)
-            rest &= ~a.cover_tree(roots[-1])[0]
-        out = {}
-        for r in roots:
-            dom = cand.copy()
-            upset = [True] * a.n
-            for c, p, below in a.cover_tree(r)[1]:
-                if not below:
-                    dom[p] &= _union(x.down_masks, dom[c])
-                    upset[p] = False
-                elif upset[c]:
-                    dom[p] &= dom[c]
-                else:
-                    dom[p] &= _union(up, dom[c])
-            if not dom[r]:
-                return None
-            out[r] = dom[r]
-        return [out[r] for r in points]
+        plan = _forest_plan(a, points)
+        down = x.down_masks if any(k == 0 for _, arcs in plan for _, _, k in arcs) else None
+        npoints = len(points)
+        out = []
+        for row in rows:
+            sets = []
+            for r, arcs in plan:
+                dom = list(row)
+                for c, p, kind in arcs:
+                    if kind == 1:
+                        dom[p] &= dom[c]
+                    else:
+                        dom[p] &= _union(up if kind == 2 else down, dom[c])
+                if not dom[r]:
+                    sets = None
+                    break
+                sets.append(dom[r])
+            out.append(None if sets is None else sets[:npoints])
+        return out
+    cap = config.size_cap()
+    return [_certified_sets(a, x, list(row), cap, points) for row in rows]
 
-    pairs, down = a.cover_pairs, x.down_masks
+
+def _certified_sets(a: Poset, x: Poset, cand: list, cap: int, points: Sequence[int]) -> Optional[list]:
+    """``monotone_value_sets`` for one row when the cover graph of ``a``
+    is not a forest: the fixpoint, then the certification searches under
+    one budget of ``cap`` nodes."""
+    up, down, pairs = x.up_masks, x.down_masks, a.cover_pairs
     changed = True
     while changed:
         changed = False
@@ -729,7 +785,6 @@ def monotone_value_sets(
                 changed = True
         if any(c == 0 for c in cand):
             return None
-    cap = config.size_cap()
     spent = [0]
     exact = []
     for i in range(a.n):

@@ -230,3 +230,40 @@ def brute_adjoints(m):
         if all(bool(a.leq[r[j], i]) == bool(b.leq[j, m.assignment[i]]) for i, j in pairs):
             left = r
     return right, left
+
+
+def down_sets(x) -> set:
+    """Every down-set of x as a bitmask over its elements."""
+    return {
+        mask for mask in range(1 << x.n)
+        if all(mask >> i & 1 for j in range(x.n) if mask >> j & 1 for i in range(x.n) if x.leq[i, j])
+    }
+
+
+def completion_family(x, name: str) -> set:
+    """The down-sets of x, as bitmasks, that the free completion of x for
+    the shipped class ``name`` is isomorphic to, under inclusion (the KZ
+    down-set monad, Kock 1995): for bot, the empty set plus the
+    principal down-sets; for join, the non-empty down-sets; for
+    bot+join, all of them."""
+    if name == "bot":
+        return {0} | {sum(1 << i for i in range(x.n) if x.leq[i, j]) for j in range(x.n)}
+    if name == "join":
+        return down_sets(x) - {0}
+    if name == "bot+join":
+        return down_sets(x)
+    raise ValueError(f"no closed form for class {name!r}")
+
+
+def closed_form_failure(x, name: str, r):
+    """None when phi(s) = {i : unit(i) <= s} is an order-isomorphism from
+    r.reflected onto ``completion_family(x, name)``, else what fails."""
+    refl, unit = r.reflected, r.unit.assignment
+    phi = [sum(1 << i for i in range(x.n) if refl.leq[unit[i], s]) for s in range(refl.n)]
+    if set(phi) != completion_family(x, name) or len(phi) != len(set(phi)):
+        return f"phi is not a bijection onto the {name} family of down-sets"
+    for s in range(refl.n):
+        for t in range(refl.n):
+            if bool(refl.leq[s, t]) != (phi[s] & ~phi[t] == 0):
+                return f"phi does not preserve and reflect {refl.elements[s]} <= {refl.elements[t]}"
+    return None

@@ -10,15 +10,16 @@ an even step that computed every value set of every span, the
 antichain(7) one with the dense closure that predates bitset
 reachability, and the antichain(8) one with the even step that first
 inserted only the minimal forced pairs, the first to finish it.  It
-also checks the closed form of the free bot+join completion: with unit
-d, the map phi(r) = {x : d(x) <= r} is an order-isomorphism from the
-reflection onto the down-sets of antichain(n), all 2^n subsets.  It prints each run's time and the peak
-RSS of the process after it; sizes run in ascending order, so that is
+also checks the closed form of the free bot+join completion
+(``oracles.closed_form_failure``): with unit d, the map
+phi(r) = {x : d(x) <= r} is an order-isomorphism from the reflection
+onto the down-sets of antichain(n), all 2^n subsets.  It prints each
+run's time and the peak RSS of the process after it; sizes run in ascending order, so that is
 the peak of the run just printed, and it fails when that peak passes
 the size's ceiling in ``PEAK_RSS_CEILING_MB``.  Exit status 0 when all
 hold, 1 otherwise.  Run from the repository root, optionally naming
 sizes; with none it runs 6 and 7, since 8 (``OPT_IN``) takes over a
-minute and about 2 GB:
+minute and about 1.8 GB:
 
     PYTHONPATH=src python tests/reflect_antichain.py [6] [7] [8]
 """
@@ -29,6 +30,7 @@ import time
 
 from kaninj import antichain, class_bottom_join, reflect
 
+from oracles import closed_form_failure
 from test_chain import chain_digest
 
 # n -> (stage sizes, elements of the reflection, whole-chain digest)
@@ -58,30 +60,10 @@ OPT_IN = {8}
 # step inserting only the minimal forced pairs (105 and 679 MB for
 # antichain(6) and antichain(7) when it inserted every forced pair, 115
 # and 803 MB when every poset also kept an n x n boolean matrix, 1353 MB
-# for antichain(7) when glue built a tuple per pair).
+# for antichain(7) when glue built a tuple per pair).  With the even step
+# asking for every span's value sets of a class map in one call, the
+# peaks were 66, 169-172 and 1766 MB.
 PEAK_RSS_CEILING_MB = {6: 84, 7: 228, 8: 2500}
-
-
-def down_sets(x) -> set:
-    """Every down-set of x as a bitmask over its elements."""
-    return {
-        mask for mask in range(1 << x.n)
-        if all(x.down_masks[i] & ~mask == 0 for i in range(x.n) if mask >> i & 1)
-    }
-
-
-def closed_form_failure(x, r):
-    """None when phi(s) = {i : unit(i) <= s} is an order-isomorphism from
-    r.reflected onto the down-sets of x, else what fails."""
-    refl, unit = r.reflected, r.unit.assignment
-    phi = [sum(1 << i for i in range(x.n) if refl.leq[unit[i], s]) for s in range(refl.n)]
-    if set(phi) != down_sets(x) or len(phi) != len(set(phi)):
-        return "phi is not a bijection onto the down-sets"
-    for s in range(refl.n):
-        for t in range(refl.n):
-            if bool(refl.leq[s, t]) != (phi[s] & ~phi[t] == 0):
-                return f"phi does not preserve and reflect {refl.elements[s]} <= {refl.elements[t]}"
-    return None
 
 
 def check(n: int) -> list:
@@ -107,7 +89,7 @@ def check(n: int) -> list:
     if rss_mb > PEAK_RSS_CEILING_MB[n]:
         failures.append(f"peak RSS {rss_mb:.0f} MB, ceiling {PEAK_RSS_CEILING_MB[n]} MB")
     if r.converged:
-        bad = closed_form_failure(x, r)
+        bad = closed_form_failure(x, "bot+join", r)
         if bad:
             failures.append(f"closed form: {bad}")
     return [f"antichain({n}): {line}" for line in failures]

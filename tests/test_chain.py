@@ -39,7 +39,7 @@ from kaninj import (
     vee,
 )
 
-from oracles import brute_iso, oracle_least_strict
+from oracles import brute_iso, closed_form_failure, oracle_least_strict
 
 
 def dsb():
@@ -83,6 +83,18 @@ def test_fixed_point_converges_immediately():
     r = reflect(chain(3), class_join())
     assert r.converged and r.stages_used == 0
     assert r.unit.is_order_iso()
+
+
+def test_reflection_matches_the_closed_form():
+    # the free completion for each shipped class is a family of
+    # down-sets under inclusion, read through the unit
+    cases = [(x, k) for x in all_posets(4) for k in standard_classes()]
+    cases += [(antichain(5), k) for k in standard_classes()]
+    assert len(cases) == 78
+    for x, klass in cases:
+        r = reflect(x, klass)
+        assert r.converged
+        assert closed_form_failure(x, klass.name, r) is None, (x.elements, klass.name)
 
 
 def test_free_join_semilattice_on_three():
@@ -307,6 +319,54 @@ def test_step_even_checks_the_witness_premise():
     assert out[0] == "optimize 1"
     assert len(out) == 2
     assert out[1].startswith("span ") and "differs from its floor on the image of h" in out[1]
+
+
+_TAMPERED_PUSHOUT = """
+import dataclasses
+import sys
+from kaninj import MonotoneMap, antichain, class_join, init_chain, step_odd
+from kaninj.errors import SquareDoesNotCommute
+
+chain_module = sys.modules["kaninj.chain"]
+glue = chain_module.glue
+h = class_join().maps[0]
+
+
+def tampered(kind, pieces, ineq_pairs=(), eq_pairs=()):
+    # swap the values at h(0) and h(1) of the first span injection that
+    # tells them apart: that span's square no longer commutes
+    res = glue(kind, pieces, ineq_pairs, eq_pairs)
+    injections = list(res.injections)
+    k, inj = next(
+        (k, m) for k, m in enumerate(injections[1:], 1)
+        if m.assignment[h.assignment[0]] != m.assignment[h.assignment[1]]
+    )
+    w = list(inj.assignment)
+    w[h.assignment[0]], w[h.assignment[1]] = w[h.assignment[1]], w[h.assignment[0]]
+    injections[k] = MonotoneMap(inj.dom, inj.cod, w, validate=False)
+    return dataclasses.replace(res, injections=tuple(injections))
+
+
+print("optimize", sys.flags.optimize)
+chain_module.glue = tampered
+try:
+    step_odd(init_chain(antichain(2)), class_join())
+except SquareDoesNotCommute as exc:
+    print(exc)
+"""
+
+
+def test_step_odd_checks_each_square():
+    # step_odd checks every pushout square on the assignments of the wide
+    # pushout's injections; a wide pushout whose injection breaks one is
+    # refused, also under python -O
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_PUSHOUT],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out == ["optimize 1", "pushout square must commute exactly"]
 
 
 def test_step_even_passes_its_cap_to_the_value_sets(monkeypatch):

@@ -146,26 +146,26 @@ def test_cone(tmp_path, capsys):
 
 def test_saturate(tmp_path, capsys):
     klass = write(tmp_path, "k.json", class_to_json(class_bottom()))
-    assert main(["saturate", klass, "--size-cap", "3"]) == 0
+    assert main(["saturate", klass, "--size", "3"]) == 0
     data = out_json(capsys)
     assert data["ok"] and all(row["ok"] for row in data["witnesses"])
 
 
 def test_verify_suite(tmp_path, capsys):
-    assert main(["verify", "colimits", "--size-cap", "3"]) == 0
+    assert main(["verify", "colimits", "--size", "3"]) == 0
     assert out_json(capsys)["passed"] is True
     for size in ("1", "2", "3"):
-        assert main(["verify", "colimits", "--size-cap", size, "--mutate"]) == 1
+        assert main(["verify", "colimits", "--size", size, "--mutate"]) == 1
         assert out_json(capsys)["passed"] is False
 
 
 def test_verify_saturation_controls_at_small_sizes(capsys):
     # a one-element sample cannot refute the collapse map, so the
     # negative control samples at least the two-element posets
-    assert main(["verify", "saturation", "--size-cap", "1"]) == 0
+    assert main(["verify", "saturation", "--size", "1"]) == 0
     assert out_json(capsys)["passed"] is True
     for size in ("1", "2"):
-        assert main(["verify", "saturation", "--size-cap", size, "--mutate"]) == 1
+        assert main(["verify", "saturation", "--size", size, "--mutate"]) == 1
         assert out_json(capsys)["passed"] is False
 
 
@@ -224,10 +224,12 @@ def test_odd_max_steps_rejected(tmp_path, capsys):
     [
         # --cap is gone: KANINJ_SIZE_CAP is the one budget
         ["reflect", "x.json", "k.json", "--cap", "1"],
-        ["saturate", "k.json", "--size-cap", "0"],
-        ["verify", "kz", "--size-cap", "0"],
+        ["saturate", "k.json", "--size", "0"],
+        ["verify", "kz", "--size", "0"],
         ["reflect", "x.json", "k.json", "--max-steps", "0"],
         ["extend", "x.json", "k.json", "--max-steps", "0"],
+        # --size-cap is gone: --size bounds the corpus
+        ["verify", "kz", "--size-cap", "3"],
     ],
 )
 def test_nonpositive_options_rejected(tmp_path, capsys, argv):

@@ -28,6 +28,7 @@ from kaninj import cache
 from kaninj.errors import CycleDetected, NotMonotone, NotParallel
 from kaninj.poset import (
     TwoCell,
+    _lower_masks,
     _mask_rows,
     _row_masks,
     classify_adjoint,
@@ -190,7 +191,7 @@ def test_cover_forest_builds_no_trees():
         assert p.cover_forest is forest
         assert p._trees == {}
     p = chain(1500)
-    assert monotone_value_sets(p, chain(2), points=[0]) == [0b11]
+    assert value_sets(p, chain(2), points=[0]) == [0b11]
     assert list(p._trees) == [0]
 
 
@@ -325,6 +326,12 @@ def bowtie():
     return build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
+def value_sets(a, x, lower=None, points=None):
+    """monotone_value_sets for the one row of starting domains that the
+    lower bounds give."""
+    return monotone_value_sets(a, x, [_lower_masks(a, x, lower)], points)[0]
+
+
 def random_lower(rng, a, x) -> dict:
     lower = {}
     for i in range(a.n):
@@ -362,7 +369,7 @@ def test_iter_cap_raises():
 def test_monotone_value_sets_forest_exact():
     # vee's cover graph is a tree, so arc consistency is exact there
     a, x = vee(), chain(3)
-    sets = monotone_value_sets(a, x)
+    sets = value_sets(a, x)
     for b in range(a.n):
         feasible = {m[b] for m in brute_monotone(a, x)}
         got = {v for v in range(x.n) if sets[b] >> v & 1}
@@ -371,7 +378,7 @@ def test_monotone_value_sets_forest_exact():
 
 def test_monotone_value_sets_respects_lower():
     a, x = chain(2), chain(3)
-    sets = monotone_value_sets(a, x, lower={0: [2]})
+    sets = value_sets(a, x, lower={0: [2]})
     assert sets[0] == 1 << 2
     assert sets[1] == 1 << 2
 
@@ -387,7 +394,7 @@ def test_monotone_value_sets_match_enumeration():
             for trial in range(3):
                 lower = random_lower(rng, a, x) if trial and x.n else {}
                 maps = brute_bounded(a, x, lower)
-                sets = monotone_value_sets(a, x, lower=lower)
+                sets = value_sets(a, x, lower=lower)
                 if not maps:
                     assert sets is None, (a.elements, x.elements, lower)
                     continue
@@ -424,7 +431,7 @@ def test_adjoints_match_definition():
 
 
 def test_monotone_value_sets_infeasible():
-    assert monotone_value_sets(chain(2), empty()) is None
+    assert value_sets(chain(2), empty()) is None
 
 
 def test_monotone_value_sets_certification_is_capped(monkeypatch):
@@ -432,21 +439,21 @@ def test_monotone_value_sets_certification_is_capped(monkeypatch):
     # by search, and that search counts its nodes against the cap
     monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
     with pytest.raises(SizeCapExceeded) as info:
-        monotone_value_sets(diamond(), chain(3))
+        value_sets(diamond(), chain(3))
     err = info.value
     assert (err.cap, err.dom_n, err.cod_n, err.visited) == (1, 4, 3, 2)
     monkeypatch.delenv("KANINJ_SIZE_CAP")
     # every constant map exists, so each element takes every value
-    assert monotone_value_sets(diamond(), chain(3)) == [0b111] * 4
+    assert value_sets(diamond(), chain(3)) == [0b111] * 4
     # the searches of one call share one budget: 48 nodes in all here,
     # and 64 for the bowtie into the diamond
     for a, x, total in [(diamond(), chain(3), 48), (bowtie(), diamond(), 64)]:
         monkeypatch.setenv("KANINJ_SIZE_CAP", str(total - 1))
         with pytest.raises(SizeCapExceeded) as info:
-            monotone_value_sets(a, x)
+            value_sets(a, x)
         assert info.value.visited == total
         monkeypatch.setenv("KANINJ_SIZE_CAP", str(total))
-        assert monotone_value_sets(a, x) == [x.full_mask] * 4
+        assert value_sets(a, x) == [x.full_mask] * 4
 
 
 def test_monotone_value_sets_on_points_match_brute_force():
@@ -477,8 +484,8 @@ def test_monotone_value_sets_on_points_match_brute_force():
                         if rng.random() < 0.5:
                             lower[v] = rng.sample(range(x.n), rng.randint(1, min(2, x.n)))
                 found = brute_bounded(b, x, lower)
-                got = monotone_value_sets(b, x, lower=lower, points=points)
-                none = monotone_value_sets(b, x, lower=lower, points=[])
+                got = value_sets(b, x, lower=lower, points=points)
+                none = value_sets(b, x, lower=lower, points=[])
                 case = (h.assignment, b.elements, x.elements, lower)
                 if not found:
                     seen["infeasible"] += 1
@@ -490,6 +497,43 @@ def test_monotone_value_sets_on_points_match_brute_force():
                 assert got == want, case
                 assert none == [], case
     assert all(seen.values()), seen
+
+
+def test_monotone_value_sets_batches_rows(monkeypatch):
+    # one call with many rows answers each row as a call of its own,
+    # on forest and non-forest domains (the diamond, the bowtie), with
+    # rows that have no map and points in any order
+    rng = random.Random(20)
+    targets = all_posets(3)
+    seen = {"forest": 0, "cyclic": 0, "none": 0}
+    for a in all_posets(4):
+        for x in targets:
+            for _ in range(2):
+                lowers = [random_lower(rng, a, x) if x.n else {} for _ in range(5)]
+                rows = [_lower_masks(a, x, lower) for lower in lowers]
+                points = rng.sample(range(a.n), rng.randint(0, a.n))
+                got = monotone_value_sets(a, x, rows, points)
+                assert got == [monotone_value_sets(a, x, [row], points)[0] for row in rows]
+                for lower, sets in zip(lowers, got):
+                    found = brute_bounded(a, x, lower)
+                    want = [functools.reduce(lambda acc, m: acc | 1 << m[v], found, 0) for v in points]
+                    assert sets == (want if found else None), (a.elements, x.elements, lower, points)
+                    seen["none"] += not found
+                seen["forest" if a.cover_forest else "cyclic"] += 1
+    assert all(seen.values()), seen
+    # each row has a budget of its own: one full row of the diamond into
+    # chain(3) needs 48 nodes, so three fit under a cap of 48 and none
+    # under 47, which fails the way one call does
+    d, x = diamond(), chain(3)
+    full = [x.full_mask] * d.n
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "48")
+    assert monotone_value_sets(d, x, [full] * 3) == [[x.full_mask] * 4] * 3
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "47")
+    with pytest.raises(SizeCapExceeded) as lone:
+        monotone_value_sets(d, x, [full])
+    with pytest.raises(SizeCapExceeded) as batched:
+        monotone_value_sets(d, x, [[1 << 2] * d.n, full])
+    assert batched.value.visited == lone.value.visited == 48
 
 
 def test_two_cells():
