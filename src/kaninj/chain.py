@@ -25,6 +25,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import config
+from .cache import BoundedCache
 from .catalog import MapClass
 from .colimits import _RECORDERS, ColimitResult, chain_colimit, glue
 from .errors import (
@@ -131,7 +133,8 @@ class ReflectionResult:
     reflected/unit describe the colimit of the computed prefix (the
     omega stage) and omega holds its full colimit presentation.  plans
     holds the extension plans of extend_along_unit, one per class,
-    built on first use.
+    built on first use; a result ``reflect`` returns is shared through
+    its cache, so its plans live as long as the cached result.
     """
 
     reflected: Poset
@@ -150,10 +153,13 @@ def init_chain(x: Poset) -> ChainState:
 def _relabel(p: Poset, stage: int) -> Poset:
     """Copy of p with flat labels s<stage>x<k>, in p's index order, so a
     map into p is the same assignment into the copy.  Keeps stage posets
-    from accumulating nested gluing tags."""
+    from accumulating nested gluing tags.  The copy shares p's ranking
+    (``Poset._ranked``), which labels do not change."""
     width = max(4, len(str(max(p.n - 1, 0))))
     labels = [f"s{stage}x{k:0{width}d}" for k in range(p.n)]
-    return Poset(labels, p.up_masks, validate=False)
+    out = Poset(labels, p.up_masks, validate=False)
+    out._ranked = p._ranked
+    return out
 
 
 def step_odd(state: ChainState, klass: MapClass) -> ChainState:
@@ -354,6 +360,9 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
     )
 
 
+_REFLECTIONS = BoundedCache()
+
+
 def reflect(x: Poset, klass: MapClass, max_steps: int = 16) -> ReflectionResult:
     """Run the chain until one odd/even round is an isomorphism.
 
@@ -361,9 +370,24 @@ def reflect(x: Poset, klass: MapClass, max_steps: int = 16) -> ReflectionResult:
     injective and the unit dense.  Hitting max_steps without converging
     is reported, not raised: the result then carries the colimit of the
     prefix, which is where the construction would continue from.
+
+    The result depends only on x, the class's maps, max_steps and the
+    size cap, so it is kept once per (x, class maps, max_steps,
+    ``config.size_cap()``) in a bounded cache, and a later call returns
+    the same object: it is shared and must not be mutated.  A call that
+    raises stores nothing.  While a ``record_colimits()`` bucket is
+    open the chain runs afresh and is not stored, so every glue it
+    makes is recorded.
     """
     if max_steps < 2 or max_steps % 2:
         raise ValueError("max_steps must be even and at least 2")
+    if _RECORDERS:
+        return _run_chain(x, klass, max_steps)
+    key = (x.key, tuple(h.key() for h in klass.maps), max_steps, config.size_cap())
+    return _REFLECTIONS.get(key, lambda: _run_chain(x, klass, max_steps))
+
+
+def _run_chain(x: Poset, klass: MapClass, max_steps: int) -> ReflectionResult:
     state = init_chain(x)
     while state.top < max_steps:
         state = step_odd(state, klass)

@@ -12,7 +12,10 @@ strong along the class, and whether a map preserves extensions.
 ``_extensions`` lists every extension problem (h, f: dom h -> x) with
 its ``left_kan`` answer, and ``_unpreserved`` is the one preservation
 check over such a table; the map verdicts, ``preserves_kan``, the
-saturation closure checks and ``kz_laws`` all run it.  The check decides
+saturation closure checks and ``kz_laws`` all run it.  Those callers
+ask for the same tables again and again, so each table is kept once
+per (poset, maps, size cap) in a bounded cache and shared: it must not
+be mutated, and a build that raises stores nothing.  The check decides
 each row on plain tuples with left_kan's two routes, which
 ``extend_along_unit`` also uses: the pointwise join ``hom._span_join``
 over each class map's memoized ``below`` table, and, for a row where a
@@ -25,7 +28,9 @@ restriction map m = hom(h, x) must have a left adjoint t, with m∘t = id
 for the strong verdict.  Every search runs under ``config.size_cap()``
 except the cross-check's hom-posets, which get a fixed budget of their
 own (``50 * CROSS_CHECK_CAP`` nodes) and are skipped when it runs out.
-Both decide from scratch every time and return the evidence.  The
+Both decide from scratch every time, over a table of their own
+(``_extension_rows``, not the cached one), and return the evidence, so
+a caller that only asks for a verdict stores no table.  The
 ``is_injective`` report, without its witnesses, is kept once per
 (poset, class maps, size cap) in a bounded cache: ``verdict`` returns
 its verdict string, so a caller that only needs to know whether a
@@ -118,7 +123,7 @@ class InjectivityReport:
         }
 
 
-def _extensions(x: Poset, maps: Sequence) -> tuple:
+def _extension_rows(x: Poset, maps: Sequence) -> tuple:
     """Every extension problem (h in maps, f: dom(h) -> x), in class and
     enumeration order, as rows (h_index, f, left_kan(f, h))."""
     return tuple(
@@ -126,6 +131,16 @@ def _extensions(x: Poset, maps: Sequence) -> tuple:
         for hi, h in enumerate(maps)
         for f in enumerate_monotone(h.dom, x)
     )
+
+
+_EXTENSIONS = BoundedCache()
+
+
+def _extensions(x: Poset, maps: Sequence) -> tuple:
+    """_extension_rows(x, maps), built once per (x, maps, size cap) and
+    then read from a bounded cache; the table is shared."""
+    key = (x.key, tuple(h.key() for h in maps), size_cap())
+    return _EXTENSIONS.get(key, lambda: _extension_rows(x, maps))
 
 
 def _all_strong(table: tuple) -> bool:
@@ -183,7 +198,7 @@ def _decide(x: Poset, klass: MapClass, strong: bool) -> InjectivityReport:
     without, existence is enough and the cross-check asks for a left
     adjoint.
     """
-    table = _extensions(x, klass.maps)
+    table = _extension_rows(x, klass.maps)
     failures = tuple((hi, f, "no least extension") for hi, f, res in table if not res.exists)
     held = [True] * len(klass.maps)
     for hi, _, res in table:

@@ -14,6 +14,14 @@ Conventions used throughout the package:
   of the generating pairs are the elements, and their reachability
   bitmasks (``_reach``) are the order.  ``build_poset`` and every colimit
   go through it.
+* The minimal elements of a set (``Poset.minimal``, and so the cover
+  pairs) are read off one ranking per poset, ``_ranked``: the elements
+  ranked top first, with every up-set renumbered by rank.  The highest
+  bit of a set is then one of its minimal elements, and
+  ``int.bit_length`` finds it in O(1).  A poset from
+  ``close_and_collapse`` gets the order in which ``_reach`` finished its
+  components, which runs top first, with their reachability masks; any
+  other ranks its elements by up-set size, smallest first.
 * Monotone maps are total index assignments, validated against the cover
   relation of the domain.  Down-sets and value sets are int bitmasks
   too, and value-set propagation and the adjoints work on those.
@@ -42,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -91,15 +99,16 @@ def _renumber(masks: Sequence[int], order: Sequence[int]) -> list:
 
 def _minimal(ranked: Sequence[int], masks: Sequence[int], order: Sequence[int]) -> tuple:
     """(ks, vs): k and order[q] for each minimal bit q of masks[k], with
-    bits numbered by a linear extension whose up-sets are ``ranked``.  The
-    lowest bit left is minimal; dropping its up-set leaves the rest."""
+    bits numbered top first, by a reversed linear extension whose
+    up-sets are ``ranked``.  The highest bit left is minimal, found in
+    O(1) by ``bit_length``; dropping its up-set leaves the rest."""
     ks, vs = [], []
     for k, left in enumerate(masks):
         while left:
-            q = (left & -left).bit_length() - 1
+            q = left.bit_length() - 1
             ks.append(k)
             vs.append(order[q])
-            left &= ~ranked[q]
+            left ^= left & ranked[q]
     return ks, vs
 
 
@@ -243,12 +252,15 @@ class Poset:
 
     @cached_property
     def _ranked(self) -> tuple:
-        """(order, masks): the elements by up-set size, largest first, and
-        the up-set of order[p] as masks[p], bit q standing for order[q].
-        An up-set is larger than those of the elements above, so the
-        ranking is a linear extension."""
+        """(order, masks): the elements ranked top first, a linear extension
+        reversed, and the up-set of order[p] as masks[p], bit q standing
+        for order[q]: every element above order[p] has a bit below p.
+        Here the ranking is by up-set size, smallest first, since an
+        up-set is larger than those of the elements above; a poset from
+        ``close_and_collapse`` is given its components' finishing order
+        instead."""
         up = self.up_masks
-        order = sorted(range(self.n), key=lambda i: -up[i].bit_count())
+        order = sorted(range(self.n), key=lambda i: up[i].bit_count())
         return order, _renumber([up[i] for i in order], order)
 
     def minimal(self, masks: Sequence[int]) -> tuple:
@@ -529,7 +541,9 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
     The classes are the strongly connected components of the pairs, and
     the order is their reachability, both from one pass of ``_reach``
     over the index array, with the reachability masks renumbered by
-    label (``_renumber``).  Repeated pairs are harmless.
+    label (``_renumber``).  The masks as ``_reach`` numbers them are kept
+    as the poset's ``_ranked``, which then needs no sort and no second
+    renumbering.  Repeated pairs are harmless.
     """
     n = len(labels)
     ends = np.asarray(index_pairs, dtype=np.intp).reshape(-1, 2)
@@ -546,6 +560,8 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
     rank = {c: pos for pos, c in enumerate(order)}
     closed = _renumber([reach[c] for c in order], order)
     poset = Poset([class_label[c] for c in order], closed, validate=False)
+    # _reach numbers the components top first, so reach is a ranking as it is
+    poset._ranked = ([rank[c] for c in range(len(reach))], reach)
     return poset, tuple(rank[c] for c in cls_of)
 
 
@@ -576,18 +592,6 @@ def build_poset(labels: Iterable[str], pairs: Iterable) -> Poset:
 
 
 # -- enumeration -----------------------------------------------------------
-
-
-def _lower_masks(a: Poset, x: Poset, lower: Optional[Mapping[int, Iterable[int]]]) -> list:
-    full = x.full_mask
-    masks = [full] * a.n
-    if lower:
-        for i, vals in lower.items():
-            m = full
-            for v in vals:
-                m &= x.up_masks[v]
-            masks[i] = m
-    return masks
 
 
 def _bound_row(h: "MonotoneMap", x: Poset, vals: Iterable[int]) -> list:
@@ -636,27 +640,18 @@ def _search(a: Poset, x: Poset, masks: Sequence[int], cap: int, spent: list):
     yield from rec(0)
 
 
-def iter_monotone_assignments(
-    a: Poset,
-    x: Poset,
-    lower: Optional[Mapping[int, Iterable[int]]] = None,
-    cap: Optional[int] = None,
-):
-    """Yield assignment tuples of monotone maps a -> x, optionally bounded
-    below pointwise (``lower[i]`` lists elements of x that must lie below the
-    image of i).  One ``_search`` with its own budget of ``cap`` visited
-    nodes, ``config.size_cap()`` when None; raises SizeCapExceeded when
-    it is exhausted."""
+def iter_monotone_assignments(a: Poset, x: Poset, cap: Optional[int] = None):
+    """Yield assignment tuples of monotone maps a -> x.  One ``_search``
+    with its own budget of ``cap`` visited nodes, ``config.size_cap()``
+    when None; raises SizeCapExceeded when it is exhausted."""
     cap = config.effective_cap(cap)
-    yield from _search(a, x, _lower_masks(a, x, lower), cap, [0])
+    yield from _search(a, x, [x.full_mask] * a.n, cap, [0])
 
 
-def enumerate_monotone(
-    a: Poset, x: Poset, lower: Optional[Mapping[int, Iterable[int]]] = None
-) -> list:
+def enumerate_monotone(a: Poset, x: Poset) -> list:
     """All monotone maps a -> x, each exactly once, in lexicographic
     assignment order."""
-    out = sorted(iter_monotone_assignments(a, x, lower=lower))
+    out = sorted(iter_monotone_assignments(a, x))
     return [MonotoneMap(a, x, t, validate=False) for t in out]
 
 

@@ -16,7 +16,9 @@ phi(r) = {x : d(x) <= r} is an order-isomorphism from the reflection
 onto the down-sets of antichain(n), all 2^n subsets.  It prints each
 run's time and the peak RSS of the process after it; sizes run in ascending order, so that is
 the peak of the run just printed, and it fails when that peak passes
-the size's ceiling in ``PEAK_RSS_CEILING_MB``.  Exit status 0 when all
+the size's ceiling in ``PEAK_RSS_CEILING_MB``.  ``reflect`` keeps each
+result in its bounded cache, so that peak also holds the smaller
+reflections run before it in the same process.  Exit status 0 when all
 hold, 1 otherwise.  Run from the repository root, optionally naming
 sizes; with none it runs 6 and 7, since 8 (``OPT_IN``) takes over a
 minute and about 1.8 GB:

@@ -11,6 +11,7 @@ from kaninj import (
     DomainMismatch,
     MapClass,
     MonotoneMap,
+    PostconditionFailed,
     SizeCapExceeded,
     all_posets,
     antichain,
@@ -19,6 +20,7 @@ from kaninj import (
     class_bottom,
     class_bottom_join,
     class_join,
+    clear_caches,
     diamond,
     dumps,
     enumerate_monotone,
@@ -38,6 +40,8 @@ from kaninj import (
     strong_objects,
     vee,
 )
+
+from kaninj.chain import _REFLECTIONS
 
 from oracles import brute_iso, closed_form_failure, oracle_least_strict
 
@@ -88,9 +92,8 @@ def test_fixed_point_converges_immediately():
 def test_reflection_matches_the_closed_form():
     # the free completion for each shipped class is a family of
     # down-sets under inclusion, read through the unit
-    cases = [(x, k) for x in all_posets(4) for k in standard_classes()]
-    cases += [(antichain(5), k) for k in standard_classes()]
-    assert len(cases) == 78
+    cases = [(x, k) for x in all_posets(5) for k in standard_classes()]
+    assert len(cases) == 264
     for x, klass in cases:
         r = reflect(x, klass)
         assert r.converged
@@ -253,6 +256,7 @@ print("optimize", sys.flags.optimize)
 r = reflect(antichain(2), class_join())
 
 chain_mod.is_dense = lambda f: False
+kaninj.clear_caches()  # a cached reflection would skip the postcondition
 try:
     reflect(antichain(2), class_join())
 except PostconditionFailed as exc:
@@ -268,6 +272,7 @@ except PostconditionFailed as exc:
 
 
 def test_postconditions_survive_optimize():
+    clear_caches()
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -424,6 +429,7 @@ def chain_digest(r) -> str:
     + [pytest.param(5, k, id=f"antichain5-{k.name}") for k in (class_join(), class_bottom_join())],
 )
 def test_wide_chain_digest(n, klass):
+    clear_caches()  # a fresh chain, whose posets have not been read
     r = reflect(antichain(n), klass)
     assert chain_digest(r) == {4: WIDE_DIGESTS, 5: WIDE5_DIGESTS}[n][klass.name]
     # the order is kept as up-set masks: no poset on the reflection path
@@ -451,6 +457,7 @@ def test_recorder_changes_only_the_inserted_pairs(n, klass, monkeypatch):
     # outside a recorder the even step inserts t <= v only for the
     # minimal v of each forced mask, inside one every forced pair; the
     # chain is the same either way
+    clear_caches()  # the first reflect must run the chain, not hit the cache
     inserted = []
     glue = sys.modules["kaninj.chain"].glue
 
@@ -479,3 +486,50 @@ def test_recorder_changes_only_the_inserted_pairs(n, klass, monkeypatch):
         for vs in lows.values():
             assert not any(u != v and up[u] >> v & 1 for u in vs for v in vs)
     assert sum(len(few) for _, few in reduced) < sum(len(every) for _, every in inserted)
+
+
+def test_a_recorder_sees_every_glue_of_a_cached_reflection():
+    # inside record_colimits() the chain runs afresh and is not stored,
+    # so two reflects of one input record the same presentations
+    x, klass = antichain(2), class_join()
+    clear_caches()
+    r = reflect(x, klass)
+    assert reflect(x, klass) is r
+    logs = []
+    for _ in range(2):
+        with record_colimits() as log:
+            inside = reflect(x, klass)
+        assert inside is not r and chain_digest(inside) == chain_digest(r)
+        logs.append(log)
+    assert logs[0] and logs[0] == logs[1]
+    assert len(_REFLECTIONS) == 1 and reflect(x, klass) is r
+
+
+def test_reflection_cache_keys_on_max_steps():
+    x, klass = antichain(2), class_join()
+    clear_caches()
+    full = reflect(x, klass)
+    short = reflect(x, klass, max_steps=2)
+    assert full.converged and full.trace.top == 4
+    assert not short.converged and short.trace.top == 2 and short.omega is not None
+    assert reflect(x, klass) is full and reflect(x, klass, max_steps=2) is short
+
+
+def test_reflection_cache_honours_a_later_cap(monkeypatch):
+    clear_caches()
+    assert reflect(antichain(2), class_join()).converged
+    entries = len(_REFLECTIONS)
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
+    with pytest.raises(SizeCapExceeded):
+        reflect(antichain(2), class_join())
+    assert len(_REFLECTIONS) == entries  # a raised search stores nothing
+
+
+def test_failed_postcondition_is_not_cached(monkeypatch):
+    clear_caches()
+    monkeypatch.setattr(sys.modules["kaninj.chain"], "is_dense", lambda f: False)
+    with pytest.raises(PostconditionFailed):
+        reflect(antichain(2), class_join())
+    assert not len(_REFLECTIONS)
+    monkeypatch.undo()
+    assert reflect(antichain(2), class_join()).converged

@@ -35,7 +35,8 @@ from kaninj import (
     verdict,
 )
 from kaninj import cache, injectivity
-from kaninj.injectivity import _VERDICTS, _extensions, _unpreserved
+from kaninj.chain import _REFLECTIONS
+from kaninj.injectivity import _EXTENSIONS, _VERDICTS, _extension_rows, _extensions, _unpreserved
 from kaninj.verify import _cone_classes
 
 from oracles import brute_kan, brute_monotone, brute_preserves, brute_strong, brute_weak
@@ -301,12 +302,45 @@ def test_verdict_cache_stays_within_its_bound(monkeypatch):
     assert len(_VERDICTS) == 3
 
 
+def test_extension_tables_are_shared_but_verdicts_decide_afresh(monkeypatch):
+    klass = class_join()
+    clear_caches()
+    assert is_injective(vee(), klass).strong and is_weakly_injective(vee(), klass).weak
+    assert verdict(vee(), klass) == "strong"
+    assert not len(_EXTENSIONS)  # the verdicts build tables of their own
+    table = _extensions(vee(), klass.maps)
+    assert table == _extension_rows(vee(), klass.maps)
+    assert _extensions(vee(), klass.maps) is table
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
+    with pytest.raises(SizeCapExceeded):
+        _extensions(vee(), klass.maps)
+    assert len(_EXTENSIONS) == 1  # a raised search stores nothing
+
+
+def test_reflection_and_extension_caches_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(cache, "BOUND", 3)
+    klass = class_join()
+    clear_caches()
+    first = reflect(point(), klass)
+    for x in all_posets(3):
+        r = reflect(x, klass)
+        assert reflect(x, klass) is r
+        assert _extensions(x, klass.maps) == _extension_rows(x, klass.maps)
+        assert len(_REFLECTIONS) <= 3 and len(_EXTENSIONS) <= 3
+    # evicted entries are computed again, with the same answer
+    again = reflect(point(), klass)
+    assert again is not first and again == first
+    assert len(_REFLECTIONS) == 3
+
+
 def test_clear_caches_empties_every_cache():
     x = antichain(2)
     klass = class_join()
     r = reflect(x, klass)
     extend_along_unit(MonotoneMap(x, vee(), [0, 1]), r, klass)
     closure_check(join_map(), klass, all_posets(2))
+    assert len(_REFLECTIONS) and len(_EXTENSIONS)
     assert all(len(table) for table in cache._TABLES)
     clear_caches()
+    assert not len(_REFLECTIONS) and not len(_EXTENSIONS)
     assert not any(len(table) for table in cache._TABLES)

@@ -24,13 +24,13 @@ from kaninj import (
     two_cell_exists,
     vee,
 )
-from kaninj import cache
+from kaninj import cache, config
 from kaninj.errors import CycleDetected, NotMonotone, NotParallel
 from kaninj.poset import (
     TwoCell,
-    _lower_masks,
     _mask_rows,
     _row_masks,
+    _search,
     classify_adjoint,
     close_and_collapse,
     iter_monotone_assignments,
@@ -279,9 +279,13 @@ def test_minimal_pairs_close_like_all_forced_pairs():
     # the even step inserts t <= v only for the minimal v of each forced
     # mask; with the cover pairs they close to the same poset and collapse.
     # all_posets lists each poset with its index order a linear extension,
-    # so the duals are here for posets where it is not.
+    # so the duals are here for posets where it is not.  Both rank by
+    # up-set size; rebuilt through close_and_collapse, they rank by the
+    # order in which _reach finished their components.
     rng = random.Random(19)
-    for p in [*all_posets(5), *(q.dual() for q in all_posets(5))]:
+    posets = [*all_posets(5), *(q.dual() for q in all_posets(5))]
+    posets += [close_and_collapse(q.elements, list(q.cover_pairs))[0] for q in posets]
+    for p in posets:
         up = p.up_masks
         for _ in range(6):
             forced = [rng.getrandbits(p.n) & ~up[t] for t in range(p.n)]
@@ -326,10 +330,21 @@ def bowtie():
     return build_poset("abcd", [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")])
 
 
+def lower_row(a, x, lower) -> list:
+    """The row of starting domains that pointwise lower bounds give:
+    row[i] is the meet of the up-sets of the elements lower[i] lists,
+    all of x where lower has no entry."""
+    row = [x.full_mask] * a.n
+    for i, vals in (lower or {}).items():
+        for v in vals:
+            row[i] &= x.up_masks[v]
+    return row
+
+
 def value_sets(a, x, lower=None, points=None):
     """monotone_value_sets for the one row of starting domains that the
     lower bounds give."""
-    return monotone_value_sets(a, x, [_lower_masks(a, x, lower)], points)[0]
+    return monotone_value_sets(a, x, [lower_row(a, x, lower)], points)[0]
 
 
 def random_lower(rng, a, x) -> dict:
@@ -352,7 +367,7 @@ def test_enumerate_monotone_matches_brute():
         for x in shapes + [diamond(), bowtie()]:
             for trial in range(3):
                 lower = random_lower(rng, a, x) if trial and x.n else {}
-                got = [tuple(m.assignment) for m in enumerate_monotone(a, x, lower=lower)]
+                got = sorted(_search(a, x, lower_row(a, x, lower), config.size_cap(), [0]))
                 assert got == sorted(brute_bounded(a, x, lower)), (a.elements, x.elements, lower)
 
 
@@ -510,7 +525,7 @@ def test_monotone_value_sets_batches_rows(monkeypatch):
         for x in targets:
             for _ in range(2):
                 lowers = [random_lower(rng, a, x) if x.n else {} for _ in range(5)]
-                rows = [_lower_masks(a, x, lower) for lower in lowers]
+                rows = [lower_row(a, x, lower) for lower in lowers]
                 points = rng.sample(range(a.n), rng.randint(0, a.n))
                 got = monotone_value_sets(a, x, rows, points)
                 assert got == [monotone_value_sets(a, x, [row], points)[0] for row in rows]
