@@ -91,35 +91,36 @@ _POSETS = BoundedCache()
 
 def all_posets(max_n: int) -> tuple:
     """One representative per isomorphism class of posets with <= max_n
-    elements, in a fixed deterministic order; enumerated once per max_n.
+    elements, in a fixed deterministic order: all_posets(max_n - 1),
+    then those with max_n elements.  Kept once per max_n, so each size
+    is enumerated once.
 
     Enumerates transitive strict upper-triangular relations (every poset
     admits a linear extension, so each class appears) and dedupes by
     canonical form.  Counts match the known sequence 1, 1, 2, 5, 16, 63,
     318 for sizes 0 through 6.
     """
-    return _POSETS.get(max_n, lambda: _enumerate_posets(max_n))
+    if max_n < 0:
+        return ()
+    return _POSETS.get(max_n, lambda: all_posets(max_n - 1) + _posets_of_size(max_n))
 
 
-def _enumerate_posets(max_n: int) -> tuple:
-    out = []
-    for n in range(max_n + 1):
-        seen = {}
-        pair_list = list(combinations(range(n), 2))
-        npairs = len(pair_list)
-        for mask in range(1 << npairs):
-            up = [1 << i for i in range(n)]
-            for t, (i, j) in enumerate(pair_list):
-                if (mask >> t) & 1:
-                    up[i] |= 1 << j
-            if not _transitive(up):
-                continue
-            p = Poset([f"p{i}" for i in range(n)], up, validate=False)
-            key = p.canonical_form()
-            if key not in seen:
-                seen[key] = p
-        out.extend(seen[k] for k in sorted(seen))
-    return tuple(out)
+def _posets_of_size(n: int) -> tuple:
+    seen = {}
+    pair_list = list(combinations(range(n), 2))
+    npairs = len(pair_list)
+    for mask in range(1 << npairs):
+        up = [1 << i for i in range(n)]
+        for t, (i, j) in enumerate(pair_list):
+            if (mask >> t) & 1:
+                up[i] |= 1 << j
+        if not _transitive(up):
+            continue
+        p = Poset([f"p{i}" for i in range(n)], up, validate=False)
+        key = p.canonical_form()
+        if key not in seen:
+            seen[key] = p
+    return tuple(seen[k] for k in sorted(seen))
 
 
 def product(x: Poset, y: Poset) -> tuple:

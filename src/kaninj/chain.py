@@ -98,12 +98,21 @@ class GammaRecord:
 class ChainState:
     """Immutable snapshot of the chain: stages X0..Xk, one-step
     connectors, and the span/gamma registries the even steps quantify
-    over."""
+    over.
+
+    ``pushed`` carries every registered span pushed forward to the top
+    stage, per class map: pushed[h index] is (its spans' registry
+    indices, ascending; F; W), read-only intp arrays with a row per span
+    of its floor x_{j,top}∘f and its witness x_{j+1,top}∘(f//h), for a
+    span recorded at stage j.  Each step moves them on through its
+    connector, so no step walks the registry.  Equality ignores them,
+    since the registry determines them."""
 
     stages: tuple
     connectors: tuple
     span_registry: tuple = ()
     gamma_registry: tuple = ()
+    pushed: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def top(self) -> int:
@@ -122,6 +131,16 @@ class ChainState:
             nxt = out[-1]
             out.append(tuple(nxt[v] for v in self.connectors[k].assignment))
         return out[::-1]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _push(pushed: dict, conn: np.ndarray) -> dict:
+    """``ChainState.pushed`` moved on along a connector's intp assignment."""
+    return {hi: (idx, _frozen(conn[fs]), _frozen(conn[ws])) for hi, (idx, fs, ws) in pushed.items()}
 
 
 @dataclass(frozen=True)
@@ -171,8 +190,9 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
     registered record, pushed forward along the connectors, is the same
     span, and the even steps keep constraining that copy.  Re-minting
     would only create a duplicate that the next quotient merges back,
-    and the duplicates dominate the chain's cost.  A map is built only
-    for a span that is minted.
+    and the duplicates dominate the chain's cost.  The minted spans are
+    read off the rows of the carried floors (``ChainState.pushed``), and
+    a map is built only for a span that is minted.
 
     The witnesses for the remaining spans are glued in one step: one
     copy of the stage plus one copy of cod(h) per span, identified along
@@ -180,8 +200,11 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
     without materializing a full copy of the stage per span.  The
     relabelled stage keeps the pushout's index order, so the connector
     and each coprojection take the assignments of its injections as
-    they are.  Each square is checked on those tuples, conn(f(a)) ==
-    coproj(h(a)) for every a; SquareDoesNotCommute otherwise.
+    they are.  Every carried floor and witness moves on through the
+    connector with one gather, and the minted spans' rows are appended
+    as one array per class map.  Each square is checked on those rows,
+    conn(f(a)) == coproj(h(a)) for every a; SquareDoesNotCommute
+    otherwise.
 
     With no spans at all (empty class, or nothing maps in) the stage is
     repeated with an identity connector.
@@ -190,11 +213,7 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
     if i % 2:
         raise ValueError("odd step must start from an even stage")
     xi = state.stages[i]
-    to_top = state.assignments_to(i)
-    minted = {
-        (rec.h_index, tuple(to_top[rec.stage][v] for v in rec.f.assignment))
-        for rec in state.span_registry
-    }
+    minted = {(hi, tuple(f)) for hi, (_, fs, _) in state.pushed.items() for f in fs.tolist()}
     spans = [
         (hi, h, f)
         for hi, h in enumerate(klass)
@@ -208,6 +227,7 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
             state.connectors + (ident,),
             state.span_registry,
             state.gamma_registry,
+            state.pushed,
         )
     pieces = [("x", xi)] + [
         ("w%d" % k, h.cod) for k, (_, h, _) in enumerate(spans)
@@ -224,26 +244,37 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
     wide = glue("wide_pushout", pieces, eq_pairs=eq)
     nxt = _relabel(wide.object, i + 1)
     conn = wide.injections[0].assignment
-    records = []
-    for (hi, h, f), inj in zip(spans, wide.injections[1:]):
-        coproj = inj.assignment
-        strict = all(conn[fa] == coproj[ha] for fa, ha in zip(f, h.assignment))
-        if not strict:
+    coprojs = [inj.assignment for inj in wide.injections[1:]]
+    push = np.array(conn, dtype=np.intp)
+    pushed = _push(state.pushed, push)
+    for hi, h in enumerate(klass):
+        ks = [k for k, span in enumerate(spans) if span[0] == hi]
+        if not ks:
+            continue
+        fs = push[np.array([spans[k][2] for k in ks], dtype=np.intp).reshape(len(ks), h.dom.n)]
+        ws = np.array([coprojs[k] for k in ks], dtype=np.intp)
+        if (ws[:, list(h.assignment)] != fs).any():
             raise SquareDoesNotCommute("pushout square must commute exactly")
-        records.append(
-            SpanRecord(
-                i,
-                hi,
-                MonotoneMap(h.dom, xi, f, validate=False),
-                MonotoneMap(h.cod, nxt, coproj, validate=False),
-                strict,
-            )
+        idx, old_fs, old_ws = pushed.get(hi, ((), fs[:0], ws[:0]))
+        idx += tuple(len(state.span_registry) + k for k in ks)
+        fs, ws = np.concatenate([old_fs, fs]), np.concatenate([old_ws, ws])
+        pushed[hi] = (idx, _frozen(fs), _frozen(ws))
+    records = tuple(
+        SpanRecord(
+            i,
+            hi,
+            MonotoneMap(h.dom, xi, f, validate=False),
+            MonotoneMap(h.cod, nxt, coproj, validate=False),
+            True,
         )
+        for (hi, h, f), coproj in zip(spans, coprojs)
+    )
     return ChainState(
         state.stages + (nxt,),
         state.connectors + (MonotoneMap(xi, nxt, conn, validate=False),),
-        state.span_registry + tuple(records),
+        state.span_registry + records,
         state.gamma_registry,
+        pushed,
     )
 
 
@@ -265,10 +296,11 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
     inside the up-set of the witness.  So per span the pass computes
     only whether an admissible g exists and the exact value set at each
     point outside the image (``poset.monotone_value_sets`` with those
-    points).  The premise is checked on entry: SquareDoesNotCommute when
-    some span's witness at h(a) is not its floor at a.  The size cap
-    bounds the value-set search of a cod(h) whose cover graph is not a
-    forest.
+    points).  The premise is checked on entry, once per class map on the
+    carried rows (``ChainState.pushed``): SquareDoesNotCommute naming
+    the first span whose witness at h(a) is not its floor at a.  The
+    size cap bounds the value-set search of a cod(h) whose cover graph
+    is not a forest.
 
     Quotienting can make further maps admissible (merging two witnesses
     creates upper bounds that did not exist before), so the constraint
@@ -278,56 +310,57 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
     never stabilizes.  Each pass shrinks the stage or grows its order
     relation, so the loop terminates.
 
-    Every span's floor and witness are pushed into the odd stage once,
-    through the composites of ``ChainState.assignments_to``, and the
-    spans are grouped by class map.  A pass then only applies the
-    quotient map so far, a plain tuple: for each class map h it builds
-    one row of starting domains per span, row[h(a)] the meet of the
-    up-sets of conn(floor(a)) (``poset._bound_row``), and asks
-    ``monotone_value_sets`` for every row of h in one call.  The pairs a span forces at b are the
-    bits of its set at b outside the up-set of its witness value; a
-    pass collects them as one bitmask per witness value t.  The
+    The floors and witnesses arrive pushed forward to the odd stage and
+    grouped by class map.  A pass gathers them through the quotient map
+    so far, an intp array: for each class map h it builds one row of
+    starting domains per span, column by column, row[h(a)] the meet of
+    the up-sets of conn(floor(a)) (``poset._bound_row``), and asks
+    ``monotone_value_sets`` for every row of h in one call.  The pairs
+    a span forces at b are the bits of its set at b outside the up-set
+    of its witness value; a pass collects them as one bitmask per
+    witness value t, and drops its value sets before the quotient.  The
     quotient gets t <= v only for the minimal v of t's mask
     (``Poset.minimal``), which close to the same order; while a
     ``record_colimits()`` bucket is open it gets every forced pair, in
     ascending (t, v) order, so a recorded presentation lists them all.
+    The carried rows leave through the even connector.
     """
     i1 = state.top
     if i1 % 2 == 0:
         raise ValueError("even step must start from an odd stage")
     x1 = state.stages[i1]
-    to_top = state.assignments_to(i1)
-    # h index -> (h, points outside h's image, [(span index, floor, witness at the points)])
-    groups: dict = {}
-    for si, rec in enumerate(state.span_registry):
-        h = klass.maps[rec.h_index]
-        floor = tuple(to_top[rec.stage][v] for v in rec.f.assignment)
-        witness = tuple(to_top[rec.stage + 1][v] for v in rec.coproj.assignment)
-        if any(witness[b] != floor[a] for a, b in enumerate(h.assignment)):
-            raise SquareDoesNotCommute(
-                f"span {si}: its witness differs from its floor on the image of h"
-            )
-        if rec.h_index not in groups:
-            points = tuple(b for b in range(h.cod.n) if b not in h.assignment)
-            groups[rec.h_index] = (h, points, [])
-        _, points, spans = groups[rec.h_index]
-        spans.append((si, floor, tuple(witness[b] for b in points)))
+    # (h, points outside h's image, registry indices, floors, witnesses at the points)
+    groups = []
+    bad = []
+    for hi, (idx, fs, ws) in sorted(state.pushed.items()):
+        h = klass.maps[hi]
+        wrong = (ws[:, list(h.assignment)] != fs).any(axis=1)
+        if wrong.any():
+            bad.append(idx[int(wrong.argmax())])
+        points = [b for b in range(h.cod.n) if b not in h.assignment]
+        groups.append((h, points, idx, fs, ws[:, points]))
+    if bad:
+        raise SquareDoesNotCommute(
+            f"span {min(bad)}: its witness differs from its floor on the image of h"
+        )
     cur = x1
-    conn = tuple(range(x1.n))
+    conn = np.arange(x1.n, dtype=np.intp)
     realized = [False] * len(state.span_registry)
     added_total = [0] * len(state.span_registry)
     while True:
         forced = [0] * cur.n
         up = cur.up_masks
-        for h, points, spans in groups.values():
-            rows = [_bound_row(h, cur, [conn[v] for v in floor]) for _, floor, _ in spans]
-            for (si, _, tops), sets in zip(spans, monotone_value_sets(h.cod, cur, rows, points)):
+        for h, points, idx, fs, tops in groups:
+            rows = _bound_row(h, cur, conn[fs])
+            # the value sets live only as long as this loop, not across glue
+            for si, ts, sets in zip(
+                idx, conn[tops].tolist(), monotone_value_sets(h.cod, cur, rows, points)
+            ):
                 realized[si] = sets is not None
                 if sets is None:
                     continue
                 added = 0
-                for t, m in zip(tops, sets):
-                    t = conn[t]
+                for t, m in zip(ts, sets):
                     new = m & ~up[t]
                     if new:
                         forced[t] |= new
@@ -347,16 +380,17 @@ def step_even(state: ChainState, klass: MapClass) -> ChainState:
         pairs[:, 1, 1] = vs
         res = glue("coequinserter", [("q", cur)], ineq_pairs=pairs)
         cur = res.object
-        conn = tuple(res.injections[0].assignment[v] for v in conn)
+        conn = np.array(res.injections[0].assignment, dtype=np.intp)[conn]
     gammas = tuple(
         GammaRecord(i1, si, realized[si], added_total[si])
         for si in range(len(state.span_registry))
     )
     return ChainState(
         state.stages + (cur,),
-        state.connectors + (MonotoneMap(x1, cur, conn, validate=False),),
+        state.connectors + (MonotoneMap(x1, cur, conn.tolist(), validate=False),),
         state.span_registry,
         state.gamma_registry + gammas,
+        _push(state.pushed, conn),
     )
 
 

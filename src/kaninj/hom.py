@@ -152,7 +152,7 @@ def _least_values(target: Poset, vals, h: MonotoneMap) -> Optional[list]:
     vals[a] <= g(h(a)) take at b (a one-row ``monotone_value_sets`` call
     at every b, the routine the even step asks at its points); None when
     a set of values is empty or has no least element."""
-    sets = monotone_value_sets(h.cod, target, [_bound_row(h, target, vals)])[0]
+    sets = monotone_value_sets(h.cod, target, _bound_row(h, target, [vals]))[0]
     least = None if sets is None else [target.least_of(m) for m in sets]
     return None if least is None or None in least else least
 

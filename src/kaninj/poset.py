@@ -247,8 +247,18 @@ class Poset:
     @cached_property
     def down_masks(self) -> tuple:
         """down_masks[j] = bitmask of {i : i <= j}: the up-set masks
-        transposed through a matrix that is dropped at once."""
-        return tuple(_row_masks(_mask_rows(self.up_masks, self.n).T))
+        transposed in tiles of 1024 x 1024 bits, one block of 1024
+        columns at a time, so no n x n matrix is built and each tile's
+        transpose stays in cache."""
+        n, out = self.n, []
+        for s in range(0, n, 1024):
+            width = min(1024, n - s)
+            cut = (1 << width) - 1
+            cols = _mask_rows([m >> s & cut for m in self.up_masks], width)
+            tiles = [cols[r : r + 1024].T for r in range(0, n, 1024)]
+            packed = np.concatenate([np.packbits(t, axis=1, bitorder="little") for t in tiles], axis=1)
+            out += [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return tuple(out)
 
     @cached_property
     def _ranked(self) -> tuple:
@@ -594,18 +604,20 @@ def build_poset(labels: Iterable[str], pairs: Iterable) -> Poset:
 # -- enumeration -----------------------------------------------------------
 
 
-def _bound_row(h: "MonotoneMap", x: Poset, vals: Iterable[int]) -> list:
+def _bound_row(h: "MonotoneMap", x: Poset, floors) -> list:
     """The starting domains of the maps g: cod(h) -> x with
-    vals[a] <= g(h(a)) for every a, as one row for
+    floor[a] <= g(h(a)) for every a, one row per floor of ``floors``
+    (an (S, |dom h|) int array, or a list of S floors), for
     ``monotone_value_sets``: row[b] is the meet of the up-sets of the
-    vals[a] with h(a) = b, ``x.full_mask`` where there is none.  Since
-    full & m is m, a lone bound's up-set is kept itself, not copied."""
-    up, full = x.up_masks, x.full_mask
-    row = [full] * h.cod.n
-    for b, v in zip(h.assignment, vals):
-        m = up[v]
-        row[b] = m if row[b] is full else row[b] & m
-    return row
+    floor[a] with h(a) = b, ``x.full_mask`` where there is none.  The
+    rows are built column by column, and a lone bound's up-set is kept
+    itself, not copied."""
+    up, full = x.up_masks, [x.full_mask] * len(floors)
+    cols = [full] * h.cod.n
+    for b, col in zip(h.assignment, np.asarray(floors).T.tolist()):
+        ups = [up[v] for v in col]
+        cols[b] = ups if cols[b] is full else [m & u for m, u in zip(cols[b], ups)]
+    return list(zip(*cols)) if cols else [() for _ in floors]
 
 
 def _search(a: Poset, x: Poset, masks: Sequence[int], cap: int, spent: list):

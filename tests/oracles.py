@@ -21,6 +21,31 @@ def brute_monotone(dom, cod):
     return out
 
 
+def brute_posets(max_n):
+    """One poset per isomorphism class with <= max_n elements, in the
+    order of ``all_posets``, enumerated from scratch for every size: the
+    transitive strict upper-triangular relations, deduped by canonical
+    form, keeping the first relation of each class in mask order, and
+    sorted by it within each size."""
+    from kaninj import Poset
+
+    out = []
+    for n in range(max_n + 1):
+        seen = {}
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            up = [1 << i for i in range(n)]
+            for t, (i, j) in enumerate(pairs):
+                if mask >> t & 1:
+                    up[i] |= 1 << j
+            if any(up[j] & ~up[i] for i in range(n) for j in range(n) if up[i] >> j & 1):
+                continue
+            p = Poset([f"p{i}" for i in range(n)], up, validate=False)
+            seen.setdefault(p.canonical_form(), p)
+        out += [seen[k] for k in sorted(seen)]
+    return out
+
+
 def brute_bounded(dom, cod, lower):
     """brute_monotone(dom, cod) with lower[i] below the value at each i."""
     return [

@@ -20,8 +20,8 @@ the size's ceiling in ``PEAK_RSS_CEILING_MB``.  ``reflect`` keeps each
 result in its bounded cache, so that peak also holds the smaller
 reflections run before it in the same process.  Exit status 0 when all
 hold, 1 otherwise.  Run from the repository root, optionally naming
-sizes; with none it runs 6 and 7, since 8 (``OPT_IN``) takes over a
-minute and about 1.8 GB:
+sizes; with none it runs 6 and 7, since 8 (``OPT_IN``) takes about half
+a minute and 1.8 GB:
 
     PYTHONPATH=src python tests/reflect_antichain.py [6] [7] [8]
 """

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kaninj import (
@@ -304,8 +305,13 @@ w = list(rec.coproj.assignment)
 w[h.assignment[0]], w[h.assignment[1]] = w[h.assignment[1]], w[h.assignment[0]]
 bad = dataclasses.replace(rec, coproj=MonotoneMap(rec.coproj.dom, rec.coproj.cod, w, validate=False))
 spans = st.span_registry[:k] + (bad,) + st.span_registry[k + 1 :]
+# the same swap in the span's carried witness row
+idx, fs, ws = st.pushed[rec.h_index]
+ws = ws.copy()
+ws[idx.index(k)] = w
+pushed = {**st.pushed, rec.h_index: (idx, fs, ws)}
 try:
-    step_even(ChainState(st.stages, st.connectors, spans, st.gamma_registry), class_join())
+    step_even(ChainState(st.stages, st.connectors, spans, st.gamma_registry, pushed), class_join())
 except SquareDoesNotCommute as exc:
     print(exc)
 """
@@ -446,6 +452,41 @@ def test_wide_chain_digest(n, klass):
             assert composites[j] == m.assignment, (j, i)
             if j:
                 m = state.connectors[j - 1].then(m)
+
+
+def carried_by_definition(state) -> dict:
+    """ChainState.pushed recomputed from the registry: each record's floor
+    and witness pushed to the top stage through ``assignments_to``."""
+    to_top = state.assignments_to(state.top)
+    want: dict = {}
+    for si, rec in enumerate(state.span_registry):
+        idx, fs, ws = want.setdefault(rec.h_index, ([], [], []))
+        idx.append(si)
+        fs.append([to_top[rec.stage][v] for v in rec.f.assignment])
+        ws.append([to_top[rec.stage + 1][v] for v in rec.coproj.assignment])
+    return want
+
+
+@pytest.mark.parametrize(
+    "n,klass",
+    [pytest.param(4, k, id=k.name) for k in (class_join(), class_bottom_join())]
+    + [pytest.param(5, k, id=f"antichain5-{k.name}") for k in (class_join(), class_bottom_join())],
+)
+def test_carried_spans_match_the_registry(n, klass):
+    # after every step the carried floors and witnesses are the records
+    # pushed forward, in registry order within each class map
+    clear_caches()  # a fresh chain
+    r = reflect(antichain(n), klass)
+    state = init_chain(antichain(n))
+    while state.top < r.trace.top:
+        state = (step_even if state.top % 2 else step_odd)(state, klass)
+        want = carried_by_definition(state)
+        assert sorted(state.pushed) == sorted(want)
+        for hi, (idx, fs, ws) in state.pushed.items():
+            assert (list(idx), fs.tolist(), ws.tolist()) == want[hi], (state.top, hi)
+            assert fs.dtype == ws.dtype == np.intp
+            assert not fs.flags.writeable and not ws.flags.writeable
+    assert state == r.trace
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kaninj import (
     MonotoneMap,
     all_posets,
     antichain,
     bottom_map,
+    build_poset,
     chain,
     class_join,
     diamond,
@@ -69,6 +72,29 @@ def test_left_kan_matches_brute_along_cyclic_targets():
         for f in enumerate_monotone(a, x)
     )
     assert routes["value_sets"] > 0
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on p0..p<n-1>, n <= 5, from random forward pairs."""
+    n = draw(st.integers(0, 5))
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if draw(st.booleans())]
+    return build_poset([f"p{i}" for i in range(n)], [(f"p{i}", f"p{j}") for i, j in pairs])
+
+
+@st.composite
+def kan_problems(draw):
+    """(f, h): random monotone maps out of one random poset."""
+    a, b, x = draw(small_posets()), draw(small_posets()), draw(small_posets())
+    hs, fs = enumerate_monotone(a, b), enumerate_monotone(a, x)
+    assume(hs and fs)
+    return draw(st.sampled_from(fs)), draw(st.sampled_from(hs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kan_problems())
+def test_left_kan_matches_brute_on_random_posets(problem):
+    _kan_route(*problem)
 
 
 def test_left_kan_requires_common_domain():

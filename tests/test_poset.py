@@ -39,7 +39,14 @@ from kaninj.poset import (
     right_adjoint,
 )
 
-from oracles import brute_adjoints, brute_bounded, brute_close_and_collapse, brute_monotone, masks_of
+from oracles import (
+    brute_adjoints,
+    brute_bounded,
+    brute_close_and_collapse,
+    brute_monotone,
+    brute_posets,
+    masks_of,
+)
 
 
 def test_catalog_axioms():
@@ -118,6 +125,17 @@ def test_close_and_collapse_matches_oracle(pres):
     with pytest.raises(CycleDetected) as err:
         build_poset(labels, label_pairs)
     assert str(err.value) == f"labels {elements[i]!r} and {elements[j]!r} are forced equal"
+
+
+def test_all_posets_extends_the_smaller_sizes():
+    # each size is enumerated once and appended to the sizes below it,
+    # which gives the enumeration from scratch
+    cache.clear_caches()
+    for n in range(6):
+        got = all_posets(n)
+        assert [p.key for p in got] == [p.key for p in brute_posets(n)]
+        assert got[: len(all_posets(n - 1))] == all_posets(n - 1)
+    assert [len(all_posets(n)) for n in range(6)] == [1, 2, 4, 9, 25, 88]
 
 
 def wide_diamond(k: int):
@@ -249,6 +267,25 @@ def test_validate_rejects_malformed_masks():
     for up in ([0b11], [0b11, 0b10, 0b100], [0b11, 0b110], [0b11, -2]):
         with pytest.raises(ValueError, match="^up-set masks do not match the elements$"):
             Poset(["a", "b"], up)
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations())
+def test_down_masks_transpose_the_order(pres):
+    p = close_and_collapse(*pres)[0]
+    assert p.down_masks == tuple(_row_masks(p.leq.T))
+
+
+def test_down_masks_transpose_past_one_tile():
+    # down_masks transposes tiles of 1024 x 1024 bits; these posets
+    # cross tile edges in the rows and in the columns
+    rng = np.random.default_rng(3)
+    n = 2100
+    forward = [(i, j) for i, j in rng.integers(n, size=(6000, 2)).tolist() if i < j]
+    big = close_and_collapse([f"g{k:04d}" for k in range(n)], forward)[0]
+    for p in (wide_diamond(1100), big):
+        assert p.n > 1024
+        assert p.down_masks == tuple(_row_masks(p.leq.T))
 
 
 def test_mask_rows_inverts_row_masks():

@@ -1,4 +1,8 @@
+import json
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kaninj import (
     MonotoneMap,
@@ -9,6 +13,7 @@ from kaninj import (
     class_to_json,
     diamond,
     dumps,
+    enumerate_monotone,
     map_from_json,
     map_to_json,
     poset_from_json,
@@ -96,6 +101,33 @@ def test_round_trip_is_byte_stable():
     once = dumps(map_to_json(m))
     again = dumps(map_to_json(map_from_json(map_to_json(m))))
     assert once == again
+
+
+@st.composite
+def labelled_posets(draw):
+    """A poset on up to 5 arbitrary labels, from random pairs that follow
+    the order the labels were drawn in."""
+    labels = draw(st.lists(st.text(max_size=4), max_size=5, unique=True))
+    pairs = [(a, b) for a, b in combinations(labels, 2) if draw(st.booleans())]
+    return build_poset(labels, pairs)
+
+
+@st.composite
+def labelled_maps(draw):
+    maps = enumerate_monotone(draw(labelled_posets()), draw(labelled_posets()))
+    assume(maps)
+    return draw(st.sampled_from(maps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelled_maps())
+def test_round_trip_is_byte_stable_on_random_maps(m):
+    for doc, load, save in (
+        (poset_to_json(m.dom), poset_from_json, poset_to_json),
+        (map_to_json(m), map_from_json, map_to_json),
+    ):
+        once = dumps(doc)
+        assert dumps(save(load(json.loads(once)))) == once
 
 
 def test_dot_output():
