@@ -7,8 +7,9 @@ one).  It guards the |X|^|A| blowup without punishing searches that
 prune well.
 The environment variable KANINJ_SIZE_CAP overrides the default; a value
 that is not a positive integer is an error, not a silent fallback.
-Every search reads it when it runs; only the injectivity cross-check
-passes its hom-posets a fixed budget of their own (``hom_poset``'s cap).
+Every search reads it when it runs; only ``hom_poset``'s cap, and the
+injectivity cross-check's hom-posets, give a search a fixed budget of
+its own.
 """
 
 import os

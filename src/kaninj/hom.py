@@ -20,24 +20,30 @@ by value mask (``Poset.join_mask``), and the value-set route is
 sets only where a join is missing.
 
 Whether a poset is strong along a class, and whether a map preserves
-extensions, are decided in ``injectivity`` on top of ``left_kan``.
+extensions, are decided in ``injectivity`` with ``left_kan``'s two
+routes.
 
 Every search runs under ``config.size_cap()``, read when it runs.
-``hom_poset(a, x, cap=None)`` alone takes a budget of its own, for the
-injectivity cross-check, and is memoised in a bounded table keyed on
-both posets and ``config.effective_cap(cap)``, so its answer, a
-hom-poset or ``SizeCapExceeded``, never depends on earlier calls.
+``hom_poset(a, x, cap=None)`` alone takes a budget of its own and is
+memoised in a bounded table keyed on both posets and
+``config.effective_cap(cap)``, so its answer, a hom-poset or
+``SizeCapExceeded``, never depends on earlier calls.  The injectivity
+cross-check reads its hom-posets through ``_hom_at_most``, under a
+fixed budget: it stops at the map after its limit, and keeps the
+hom-poset, or None when there are more maps or the budget runs out, in
+the same table, keyed also on the limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Optional
 
 from .cache import BoundedCache
 from .config import effective_cap
-from .errors import DomainMismatch, NotInjectiveContext
+from .errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
 from .poset import (
     MonotoneMap,
     Poset,
@@ -53,12 +59,13 @@ _HOMS = BoundedCache()
 
 
 class HomPoset:
-    """The poset of monotone maps a -> x under the pointwise order."""
+    """The poset of monotone maps a -> x under the pointwise order, from
+    the assignment tuples of all of them."""
 
-    def __init__(self, a: Poset, x: Poset, cap: Optional[int] = None):
+    def __init__(self, a: Poset, x: Poset, assignments: Iterable[tuple]):
         self.a = a
         self.x = x
-        self.assignments = tuple(sorted(iter_monotone_assignments(a, x, cap=cap)))
+        self.assignments = tuple(sorted(assignments))
         self.index = {t: k for k, t in enumerate(self.assignments)}
 
     def __len__(self) -> int:
@@ -80,7 +87,26 @@ class HomPoset:
 
 def hom_poset(a: Poset, x: Poset, cap: Optional[int] = None) -> HomPoset:
     """hom(a, x), memoised per (a, x, effective cap)."""
-    return _HOMS.get((a.key, x.key, effective_cap(cap)), lambda: HomPoset(a, x, cap=cap))
+    return _HOMS.get(
+        (a.key, x.key, effective_cap(cap)),
+        lambda: HomPoset(a, x, iter_monotone_assignments(a, x, cap=cap)),
+    )
+
+
+def _hom_at_most(a: Poset, x: Poset, most: int, cap: int) -> Optional[HomPoset]:
+    """hom(a, x) when it has at most ``most`` maps, None when it has
+    more or its search visits more than cap nodes first.  The search
+    stops at the map after ``most``, and the outcome, either one, is
+    memoised in hom_poset's table per (a, x, cap, most)."""
+
+    def build() -> Optional[HomPoset]:
+        try:
+            found = list(islice(iter_monotone_assignments(a, x, cap=cap), most + 1))
+        except SizeCapExceeded:
+            return None
+        return HomPoset(a, x, found) if len(found) <= most else None
+
+    return _HOMS.get((a.key, x.key, cap, most), build)
 
 
 def precompose(h: MonotoneMap, x: Poset) -> MonotoneMap:

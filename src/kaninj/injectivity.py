@@ -8,42 +8,48 @@ mapping cone turns every weak question into a strong one about a single
 associated inclusion.
 
 Both of the library's core decisions are made here: whether a poset is
-strong along the class, and whether a map preserves extensions.
-``_extensions`` lists every extension problem (h, f: dom h -> x) with
-its ``left_kan`` answer, and ``_unpreserved`` is the one preservation
-check over such a table; the map verdicts, ``preserves_kan``, the
-saturation closure checks and ``kz_laws`` all run it.  Those callers
-ask for the same tables again and again, so each table is kept once
-per (poset, maps, size cap) in a bounded cache and shared: it must not
-be mutated, and a build that raises stores nothing.  The check decides
-each row on plain tuples with left_kan's two routes, which
-``extend_along_unit`` also uses: the pointwise join ``hom._span_join``
-over each class map's memoized ``below`` table, and, for a row where a
-join is missing, the least of each exact value set
-(``hom._least_values``).
+strong along the class, and whether a map preserves extensions.  One
+scan, ``_scan``, yields every extension problem (h, f: dom h -> x) on
+assignment tuples, with its least extension, strictness and route:
+left_kan's two routes, which ``extend_along_unit`` also uses, the
+pointwise join ``hom._span_join`` over each class map's memoized
+``below`` table and, for a problem where a join is missing, the least
+of each exact value set (``hom._least_values``).  ``_extension_rows``
+turns the scanned problems into rows (h, f, ``left_kan(f, h)``), equal
+to left_kan's answers, method included.  ``_extensions`` keeps such a
+table, and ``_unpreserved`` is the one preservation check over it; the
+map verdicts, ``preserves_kan``, the saturation closure checks and
+``kz_laws`` all run it.  Those callers ask for the same tables again
+and again, so each table is kept once per (poset, maps, size cap) in a
+bounded cache and shared: it must not be mutated, and a build that
+raises stores nothing.  The check decides each row on plain tuples
+with the same two routes.
 
-``is_injective`` and ``is_weakly_injective`` share one scan and one
-adjoint cross-check, which builds one adjoint per class map h: the
-restriction map m = hom(h, x) must have a left adjoint t, with m∘t = id
-for the strong verdict.  Every search runs under ``config.size_cap()``
-except the cross-check's hom-posets, which get a fixed budget of their
-own (``50 * CROSS_CHECK_CAP`` nodes) and are skipped when it runs out.
-Both decide from scratch every time, over a table of their own
-(``_extension_rows``, not the cached one), and return the evidence, so
-a caller that only asks for a verdict stores no table.  The
-``is_injective`` report, without its witnesses, is kept once per
-(poset, class maps, size cap) in a bounded cache: ``verdict`` returns
-its verdict string, so a caller that only needs to know whether a
-target is strong, such as ``extend_along_unit`` on every call, pays for
-the scan and its cross-check once, and ``is_injective_map`` reads both
-endpoint reports from it.  A report
+``is_injective`` and ``is_weakly_injective`` decide from the scan and
+share one adjoint cross-check, which builds one adjoint per class map
+h: the restriction map m = hom(h, x) must have a left adjoint t, with
+m∘t = id for the strong verdict.  Every search runs under
+``config.size_cap()`` except the cross-check's hom-posets
+(``hom._hom_at_most``), which get a fixed budget of their own
+(``50 * CROSS_CHECK_CAP`` nodes) and stop at the map after
+``CROSS_CHECK_CAP``; h is skipped when either runs out, and that
+outcome is memoised with the hom-posets.  Both verdicts decide from
+scratch every time, over rows of their own (not the cached table), and
+return the evidence, so a caller that only asks for a verdict stores no
+table.  The ``is_injective`` report, without its witnesses, is kept
+once per (poset, class maps, size cap) in a bounded cache and decided
+on the scanned tuples, building no map but the f of each failure:
+``verdict`` returns its verdict string, so a caller that only needs to
+know whether a target is strong, such as ``extend_along_unit`` on every
+call, pays for the scan and its cross-check once, and
+``is_injective_map`` reads both endpoint reports from it.  A report
 whose cross-check disagrees with its verdict raises
 ``PostconditionFailed`` instead of being stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cache import BoundedCache
@@ -54,11 +60,11 @@ from .errors import (
     DomainMismatch,
     NotComposable,
     NotInjectiveContext,
+    NotMonotone,
     PostconditionFailed,
-    SizeCapExceeded,
 )
-from .hom import _least_values, _restriction, _span_join, hom_poset, left_kan
-from .poset import MonotoneMap, Poset, enumerate_monotone, left_adjoint
+from .hom import KanResult, _hom_at_most, _least_values, _restriction, _span_join
+from .poset import MonotoneMap, Poset, iter_monotone_assignments, left_adjoint
 
 __all__ = [
     "InjectivityReport",
@@ -72,8 +78,9 @@ __all__ = [
     "strong_objects",
 ]
 
-# hom-posets larger than this skip the adjoint cross-check; the direct
-# per-map route is exact either way
+# the adjoint cross-check along h is skipped when hom(cod h, x) or
+# hom(dom h, x) has more maps than this, and its enumeration stops at
+# the map after it; the direct per-map route is exact either way
 CROSS_CHECK_CAP = 400
 
 
@@ -123,14 +130,43 @@ class InjectivityReport:
         }
 
 
+def _scan(x: Poset, maps: Sequence):
+    """Every extension problem (h in maps, f: dom(h) -> x), in class and
+    enumeration order, as (h_index, f, extension, strict, route) on
+    assignment tuples: left_kan's routes, the pointwise join
+    (``_span_join``) and, where a join is missing, the least of each
+    value set (``_least_values``), named by route as left_kan names its
+    method.  extension is None when f has no least extension; one that
+    is not monotone on cod(h)'s cover pairs raises NotMonotone, as
+    left_kan's validated map does."""
+    up = x.up_masks
+    for hi, h in enumerate(maps):
+        below, covers, cod = h.below(), h.cod.cover_pairs, h.cod.elements
+        for f in sorted(iter_monotone_assignments(h.dom, x)):
+            ext, route = _span_join(x, f, below), "pointwise"
+            if ext is None:
+                ext, route = _least_values(x, f, h), "value_sets"
+            if ext is None:
+                yield hi, f, None, False, route
+                continue
+            for i, j in covers:
+                if not up[ext[i]] >> ext[j] & 1:
+                    raise NotMonotone(f"map is not monotone on {cod[i]} <= {cod[j]}")
+            yield hi, f, ext, tuple(ext[v] for v in h.assignment) == f, route
+
+
+def _as_row(x: Poset, maps: Sequence, hi, f, ext, strict, route) -> tuple:
+    """A scanned problem as (h_index, f, left_kan(f, h))."""
+    h = maps[hi]
+    g = None if ext is None else MonotoneMap(h.cod, x, ext, validate=False)
+    res = KanResult(ext is not None, g, strict, route)
+    return hi, MonotoneMap(h.dom, x, f, validate=False), res
+
+
 def _extension_rows(x: Poset, maps: Sequence) -> tuple:
     """Every extension problem (h in maps, f: dom(h) -> x), in class and
     enumeration order, as rows (h_index, f, left_kan(f, h))."""
-    return tuple(
-        (hi, f, left_kan(f, h))
-        for hi, h in enumerate(maps)
-        for f in enumerate_monotone(h.dom, x)
-    )
+    return tuple(_as_row(x, maps, *row) for row in _scan(x, maps))
 
 
 _EXTENSIONS = BoundedCache()
@@ -178,31 +214,36 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple):
 
 
 def _small_precompose(h: MonotoneMap, x: Poset) -> Optional[MonotoneMap]:
-    """Restriction map between hom-posets, or None when too large."""
-    try:
-        hb = hom_poset(h.cod, x, cap=50 * CROSS_CHECK_CAP)
-        ha = hom_poset(h.dom, x, cap=50 * CROSS_CHECK_CAP)
-    except SizeCapExceeded:
+    """Restriction map between hom-posets, or None when either has more
+    than CROSS_CHECK_CAP maps or its search runs out of its budget."""
+    hb = _hom_at_most(h.cod, x, CROSS_CHECK_CAP, 50 * CROSS_CHECK_CAP)
+    if hb is None:
         return None
-    if len(hb) > CROSS_CHECK_CAP or len(ha) > CROSS_CHECK_CAP:
-        return None
-    return _restriction(h, hb, ha)
+    ha = _hom_at_most(h.dom, x, CROSS_CHECK_CAP, 50 * CROSS_CHECK_CAP)
+    return None if ha is None else _restriction(h, hb, ha)
 
 
-def _decide(x: Poset, klass: MapClass, strong: bool) -> InjectivityReport:
+def _decide(x: Poset, klass: MapClass, strong: bool, witnesses: bool = True) -> InjectivityReport:
     """The scan and cross-check behind both object verdicts.
 
     With strong, x holds along h when every extension exists and is
     strict, and the cross-check asks for the restriction map m to be a
     rali: a left adjoint t with m∘t = id (``t.then(m)`` the identity);
     without, existence is enough and the cross-check asks for a left
-    adjoint.
+    adjoint.  Without witnesses the report carries none, and the only
+    maps built are the f of the failures.
     """
-    table = _extension_rows(x, klass.maps)
-    failures = tuple((hi, f, "no least extension") for hi, f, res in table if not res.exists)
-    held = [True] * len(klass.maps)
-    for hi, _, res in table:
-        held[hi] = held[hi] and res.exists and (res.strict or not strong)
+    maps = klass.maps
+    table, failures = [], []
+    held = [True] * len(maps)
+    for row in _scan(x, maps):
+        hi, f, ext, strict, _ = row
+        if witnesses:
+            table.append(_as_row(x, maps, *row))
+        if ext is None:
+            fmap = MonotoneMap(maps[hi].dom, x, f, validate=False)
+            failures.append((hi, fmap, "no least extension"))
+        held[hi] = held[hi] and ext is not None and (strict or not strong)
     if failures:
         verdict = "neither"
     elif strong and all(held):
@@ -218,7 +259,7 @@ def _decide(x: Poset, klass: MapClass, strong: bool) -> InjectivityReport:
         adjoint = t is not None and (not strong or t.then(m) == MonotoneMap.identity(m.cod))
         agree = adjoint == held[hi]
         cross = agree if cross is None else (cross and agree)
-    return InjectivityReport(_subject(x), verdict, table, failures, cross)
+    return InjectivityReport(_subject(x), verdict, tuple(table), tuple(failures), cross)
 
 
 def is_weakly_injective(x: Poset, klass: MapClass) -> InjectivityReport:
@@ -251,12 +292,12 @@ def _report(x: Poset, klass: MapClass) -> InjectivityReport:
     neither it nor a raised SizeCapExceeded is stored."""
 
     def decide() -> InjectivityReport:
-        rep = is_injective(x, klass)
+        rep = _decide(x, klass, strong=True, witnesses=False)
         if rep.cross_check is False:
             raise PostconditionFailed(
                 f"{rep.verdict} verdict on {rep.subject} disagrees with the adjoint cross-check"
             )
-        return replace(rep, witnesses=())
+        return rep
 
     key = (x.key, tuple(h.key() for h in klass.maps), size_cap())
     return _VERDICTS.get(key, decide)

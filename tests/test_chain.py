@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -40,6 +41,7 @@ from kaninj import (
     step_odd,
     strong_objects,
     vee,
+    verdict,
 )
 
 from kaninj.chain import _REFLECTIONS
@@ -161,6 +163,54 @@ def test_extend_along_unit_matches_oracle_slice():
             assert tuple(got.assignment) == want
             # strictness: the extension restricts back to p on the nose
             assert res.unit.then(got) == p
+
+
+def _lattices():
+    """Finite lattices, strong for every shipped class: the powerset of
+    3, the diamond, a 4-chain and the pentagon N5."""
+    powerset = build_poset(
+        ["0", "a", "b", "c", "ab", "ac", "bc", "abc"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("a", "ac"), ("b", "ab"),
+         ("b", "bc"), ("c", "ac"), ("c", "bc"), ("ab", "abc"), ("ac", "abc"), ("bc", "abc")],
+    )
+    pentagon = build_poset(
+        ["0", "x", "y", "z", "1"], [("0", "x"), ("x", "y"), ("y", "1"), ("0", "z"), ("z", "1")]
+    )
+    return [powerset, diamond(), chain(4), pentagon]
+
+
+def _join(t, elems):
+    """The join in t of elems, the least element of t for none, from the
+    order matrix."""
+    upper = [u for u in range(t.n) if all(t.leq[e, u] for e in elems)]
+    least = [u for u in upper if all(t.leq[u, v] for v in upper)]
+    assert len(least) == 1, (t.elements, elems)
+    return least[0]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_extend_along_unit_matches_the_closed_form(n):
+    # for a unit d that is an order-embedding, the least extension of p
+    # along d is ext(s) = join of p(i) over the i with d(i) <= s: the
+    # pointwise left Kan extension of the KZ down-set monad
+    x = antichain(n)
+    rng = random.Random(n)
+    checked = 0
+    for klass in standard_classes():
+        r = reflect(x, klass)
+        d, top = r.unit.assignment, r.reflected
+        assert all(top.leq[d[i], d[j]] == x.leq[i, j] for i in range(n) for j in range(n))
+        for t in _lattices():
+            assert verdict(t, klass) == "strong", (klass.name, t.elements)
+            for _ in range(20):
+                p = MonotoneMap(x, t, [rng.randrange(t.n) for _ in range(n)])
+                want = tuple(
+                    _join(t, [p.assignment[i] for i in range(n) if top.leq[d[i], s]])
+                    for s in range(top.n)
+                )
+                assert extend_along_unit(p, r, klass).assignment == want, (klass.name, p)
+                checked += 1
+    assert checked == 3 * 4 * 20
 
 
 @pytest.mark.parametrize(

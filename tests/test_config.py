@@ -1,7 +1,8 @@
 """One search budget: KANINJ_SIZE_CAP, read by every search when it runs.
 
 Only the injectivity cross-check gives its hom-posets a budget of their
-own, so only the two functions it calls take a ``cap`` parameter.
+own, so only the two public functions it reaches take a ``cap``
+parameter.
 """
 
 import importlib

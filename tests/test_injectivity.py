@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from kaninj import (
@@ -6,6 +8,7 @@ from kaninj import (
     MonotoneMap,
     NotComposable,
     NotInjectiveContext,
+    NotMonotone,
     PostconditionFailed,
     SizeCapExceeded,
     all_posets,
@@ -34,9 +37,18 @@ from kaninj import (
     vee,
     verdict,
 )
-from kaninj import cache, injectivity
+from kaninj import cache, hom, injectivity
 from kaninj.chain import _REFLECTIONS
-from kaninj.injectivity import _EXTENSIONS, _VERDICTS, _extension_rows, _extensions, _unpreserved
+from kaninj.hom import _restriction, hom_poset, left_kan
+from kaninj.injectivity import (
+    _EXTENSIONS,
+    _VERDICTS,
+    _extension_rows,
+    _extensions,
+    _report,
+    _unpreserved,
+)
+from kaninj.poset import Poset, left_adjoint
 from kaninj.verify import _cone_classes
 
 from oracles import brute_kan, brute_monotone, brute_preserves, brute_strong, brute_weak
@@ -207,13 +219,13 @@ def test_unpreserved_falls_back_to_left_kan(monkeypatch):
 
 def test_map_verdict_decides_each_endpoint_once(monkeypatch):
     calls = []
-    decide = injectivity.is_injective
+    decide = injectivity._decide
 
-    def counted(x, klass):
+    def counted(x, klass, *args, **kwargs):
         calls.append(x.key)
-        return decide(x, klass)
+        return decide(x, klass, *args, **kwargs)
 
-    monkeypatch.setattr(injectivity, "is_injective", counted)
+    monkeypatch.setattr(injectivity, "_decide", counted)
     clear_caches()
     p = MonotoneMap(vee(), chain(2), [0, 1, 1])
     for _ in range(2):
@@ -228,6 +240,105 @@ def test_cached_verdict_raises_on_cross_check_disagreement(monkeypatch):
     with pytest.raises(PostconditionFailed):
         verdict(vee(), class_join())
     assert not len(_VERDICTS)  # the disagreeing report is not stored
+
+
+def _shipped_and_cone_classes():
+    return [c for k in standard_classes() for c in (k, cone_class(k))]
+
+
+def test_cached_verdict_matches_the_public_report():
+    routes = set()
+    for klass in _shipped_and_cone_classes():
+        for x in all_posets(4):
+            rep = is_injective(x, klass)
+            assert _report(x, klass) == dataclasses.replace(rep, witnesses=()), (klass.name, x)
+            for decided in (rep, is_weakly_injective(x, klass)):
+                for hi, f, res in decided.witnesses:
+                    assert res == left_kan(f, klass.maps[hi]), (klass.name, x, f)
+                    routes.add(res.method)
+    # both of left_kan's routes are compared, method included
+    assert routes == {"pointwise", "value_sets"}
+
+
+def test_scan_raises_on_a_non_monotone_extension(monkeypatch):
+    # an extension sending the top of vee below its atoms, as a wrong
+    # join would, is caught on the cover pairs like left_kan's map
+    monkeypatch.setattr(
+        injectivity, "_span_join", lambda t, vals, below: [t.n - 1] * (len(below) - 1) + [0]
+    )
+    clear_caches()
+    for decide in (verdict, is_injective, is_weakly_injective):
+        with pytest.raises(NotMonotone, match="not monotone on a <= top"):
+            decide(chain(3), class_join())
+    assert not len(_VERDICTS)
+
+
+def _old_cross_check(x, klass, cap):
+    """The cross-check from full hom-posets under a budget of 50 * cap
+    nodes, skipping h when either has more than cap maps; held along h
+    from the brute-force oracle."""
+    cross = None
+    for h in klass.maps:
+        try:
+            hb = hom_poset(h.cod, x, cap=50 * cap)
+            ha = hom_poset(h.dom, x, cap=50 * cap)
+        except SizeCapExceeded:
+            continue
+        if len(hb) > cap or len(ha) > cap:
+            continue
+        m = _restriction(h, hb, ha)
+        t = left_adjoint(m)
+        rali = t is not None and t.then(m) == MonotoneMap.identity(m.cod)
+        agree = rali == brute_strong(x, MapClass("h", (h,)))
+        cross = agree if cross is None else (cross and agree)
+    return cross
+
+
+def test_cross_check_stops_at_its_cap(monkeypatch):
+    cap = 4
+    monkeypatch.setattr(injectivity, "CROSS_CHECK_CAP", cap)
+    cases = [(x, k) for k in _shipped_and_cone_classes() for x in all_posets(3)]
+    clear_caches()
+    want = [_old_cross_check(x, k, cap) for x, k in cases]
+    sizes = {}
+    for x, klass in cases:
+        for h in klass.maps:
+            for a in (h.dom, h.cod):
+                try:
+                    sizes[a.key, x.key] = len(hom_poset(a, x, cap=50 * cap))
+                except SizeCapExceeded:
+                    sizes[a.key, x.key] = None
+    assert None in want and True in want
+    assert any(n is not None and n > cap for n in sizes.values())
+
+    taken = []
+    enumerate_all = hom.iter_monotone_assignments
+
+    def spy(a, x, cap=None):
+        taken.append([(a.key, x.key), 0])
+        for t in enumerate_all(a, x, cap=cap):
+            taken[-1][1] += 1
+            yield t
+
+    clear_caches()
+    monkeypatch.setattr(hom, "iter_monotone_assignments", spy)
+    assert [is_injective(x, k).cross_check for x, k in cases] == want
+    # each hom-set is enumerated once, and never past the map after the cap
+    assert len({key for key, _ in taken}) == len(taken)
+    for key, n in taken:
+        if sizes[key] is None or sizes[key] > cap:
+            assert n <= cap + 1, key
+        else:
+            assert n == sizes[key], key
+    assert any(n == cap + 1 for _, n in taken)
+
+    # the outcome, hom-poset or too large, is kept with the hom-posets
+    seen = len(taken)
+    _VERDICTS.clear()
+    for x, klass in cases:
+        copy = Poset(list(x.elements), list(x.up_masks))
+        assert verdict(copy, klass) == verdict(x, klass)
+    assert len(taken) == seen
 
 
 def test_mapping_cone_shape_for_join():
