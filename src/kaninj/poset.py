@@ -12,7 +12,8 @@ Conventions used throughout the package:
 * A presentation (labels plus generating inequalities) becomes a poset
   in one place, ``close_and_collapse``: the strongly connected components
   of the generating pairs are the elements, and their reachability
-  bitmasks (``_reach``) are the order.  ``build_poset`` and every colimit
+  bitmasks are the order, both from one Tarjan pass (``_reach``) over
+  successor lists kept in arc order.  ``build_poset`` and every colimit
   go through it.
 * The minimal elements of a set (``Poset.minimal``, and so the cover
   pairs) are read off one ranking per poset, ``_ranked``: the elements
@@ -24,7 +25,8 @@ Conventions used throughout the package:
   other ranks its elements by up-set size, smallest first.
 * Monotone maps are total index assignments, validated against the cover
   relation of the domain.  Down-sets and value sets are int bitmasks
-  too, and value-set propagation and the adjoints work on those.
+  too, and value-set propagation and the adjoints work on those: an
+  adjoint reads each value off a table from up-set mask to element.
 * One backtracking search (``_search``) finds monotone maps, over a value
   mask per element: ``iter_monotone_assignments`` enumerates with it, and
   ``monotone_value_sets``, the one value-set routine, certifies each
@@ -118,22 +120,30 @@ def _transitive(up: Sequence[int]) -> bool:
     return all(up[j] & ~row == 0 for row in up for j in _bits(row))
 
 
+# arcs per slice when _reach builds its adjacency lists
+_SLICE = 1 << 16
+
+
 def _reach(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
     """``(comp, reach)`` for the arcs src[k] -> dst[k] on range(n):
     comp[v] is v's strongly connected component, numbered as they finish
     (sinks first), and bit d of reach[c] is set iff c reaches d.
 
     An iterative Tarjan (SIAM J. Comput. 1972), so no recursion limit
-    applies.  A component finishes after every component it reaches, so
-    its mask takes one OR per component its arcs enter, skipping those
-    already in it.  v's arcs lead to heads[first[v]:first[v + 1]]."""
-    by_src = np.argsort(src, kind="stable")
-    heads = dst[by_src].tolist()
-    first = np.searchsorted(src[by_src], np.arange(n + 1)).tolist()
-    nxt = first[:-1]  # v's next arc to follow
+    applies.  v's successors are listed in arc order, the lists filled
+    from ``_SLICE`` arcs at a time: no sorted copy is made, and besides
+    the lists only one slice of arcs is held as Python ints, which keeps
+    the peak of a large closure down.  Each frame of the path keeps an
+    iterator over its node's list, which resumes where it stopped when
+    the node returns to the top.  A component is the stack from its
+    root's position up; it finishes after every component it reaches,
+    so its mask is the OR of the masks its arcs enter, its own aside."""
+    succ: list = [[] for _ in range(n)]
+    for s in range(0, len(src), _SLICE):
+        for u, w in zip(src[s : s + _SLICE].tolist(), dst[s : s + _SLICE].tolist()):
+            succ[u].append(w)
     seen = [-1] * n  # discovery number, -1 until reached
     low = [0] * n
-    spot = [0] * n  # position on the stack
     comp = [-1] * n  # -1 until v's component finishes
     stack: list = []
     reach: list = []
@@ -141,37 +151,41 @@ def _reach(n: int, src: np.ndarray, dst: np.ndarray) -> tuple:
     for root in range(n):
         if seen[root] >= 0:
             continue
-        path = [root]
+        seen[root] = low[root] = count
+        count += 1
+        # (node, its next successors, its position on the stack)
+        path = [(root, iter(succ[root]), len(stack))]
+        stack.append(root)
         while path:
-            v = path[-1]
-            if seen[v] < 0:
-                seen[v] = low[v] = count
-                count += 1
-                spot[v] = len(stack)
-                stack.append(v)
-            for k in range(nxt[v], first[v + 1]):
-                w = heads[k]
+            v, arcs, spot = path[-1]
+            for w in arcs:
                 if seen[w] < 0:
-                    nxt[v] = k + 1
-                    path.append(w)
+                    seen[w] = low[w] = count
+                    count += 1
+                    path.append((w, iter(succ[w]), len(stack)))
+                    stack.append(w)
                     break
                 if comp[w] < 0 and seen[w] < low[v]:
                     low[v] = seen[w]
             else:
                 path.pop()
-                if path and low[v] < low[path[-1]]:
-                    low[path[-1]] = low[v]
-                if low[v] == seen[v]:
-                    members = stack[spot[v] :]
-                    del stack[spot[v] :]
-                    c = len(reach)
-                    for u in members:
-                        comp[u] = c
-                    mask = 1 << c
-                    for d in {comp[w] for u in members for w in heads[first[u] : first[u + 1]]}:
-                        if not mask >> d & 1:
+                if low[v] < seen[v]:
+                    # not a root, so v has a parent on the path
+                    if low[v] < low[path[-1][0]]:
+                        low[path[-1][0]] = low[v]
+                    continue
+                c = len(reach)
+                members = stack[spot:]
+                del stack[spot:]
+                for u in members:
+                    comp[u] = c
+                mask = 1 << c
+                for u in members:
+                    for w in succ[u]:
+                        d = comp[w]
+                        if d != c:
                             mask |= reach[d]
-                    reach.append(mask)
+                reach.append(mask)
     return comp, reach
 
 
@@ -550,10 +564,11 @@ def close_and_collapse(labels: Sequence[str], index_pairs) -> tuple:
 
     The classes are the strongly connected components of the pairs, and
     the order is their reachability, both from one pass of ``_reach``
-    over the index array, with the reachability masks renumbered by
-    label (``_renumber``).  The masks as ``_reach`` numbers them are kept
-    as the poset's ``_ranked``, which then needs no sort and no second
-    renumbering.  Repeated pairs are harmless.
+    over successor lists read from the index array, with the
+    reachability masks renumbered by label (``_renumber``, faster here
+    than a second OR sweep in label numbering).  The masks as ``_reach``
+    numbers them are kept as the poset's ``_ranked``, which then needs
+    no sort and no second renumbering.  Repeated pairs are harmless.
     """
     n = len(labels)
     ends = np.asarray(index_pairs, dtype=np.intp).reshape(-1, 2)
@@ -844,15 +859,18 @@ def left_adjoint(m: MonotoneMap) -> Optional[MonotoneMap]:
     """The left adjoint of ``m`` (so result ⊣ m), or None.
 
     Pointwise: result(b) is the least a with b <= m(a).  The preimage
-    of the up-set of b is an up-set, so when it has a least element it
-    is that element's up-set: b <= m(a) iff result(b) <= a, which is
-    the adjunction and also makes the result monotone.
+    of the up-set of b is an up-set, and an up-set has a least element
+    l exactly when it is l's up-set, so l is one lookup in a table from
+    up-set mask to element, built once per call.  Then b <= m(a) iff
+    result(b) <= a, which is the adjunction and also makes the result
+    monotone.
     """
     a, b = m.dom, m.cod
     fibers = _fibers(m.assignment, b.n)
+    least = {up: i for i, up in enumerate(a.up_masks)}
     assign = []
     for j in range(b.n):
-        l = a.least_of(_preimage(fibers, b.up_masks[j]))
+        l = least.get(_preimage(fibers, b.up_masks[j]))
         if l is None:
             return None
         assign.append(l)

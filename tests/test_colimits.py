@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -36,7 +39,8 @@ from kaninj.colimits import (
     verify_universal,
     wide_pushout,
 )
-from kaninj.errors import NotParallel
+from kaninj import colimits
+from kaninj.errors import NotMonotone, NotParallel
 from kaninj.poset import Poset, TwoCell
 from kaninj.verify import _sample_colimits
 
@@ -278,6 +282,49 @@ def test_glue_rejects_indices_outside_the_pieces():
             glue("q", pieces, eq_pairs=np.array([bad]))
     with pytest.raises(ValueError, match="outside the pieces"):
         glue("q", [], ineq_pairs=[((0, 0), (0, 0))])
+
+
+def _discrete(labels, pairs):
+    """The right elements for a presentation, with none of its order."""
+    n = len(labels)
+    return Poset(labels, [1 << i for i in range(n)], validate=False), tuple(range(n))
+
+
+def test_glue_checks_its_injections(monkeypatch):
+    # a closure that drops the pieces' own order leaves every injection
+    # non-monotone; glue refuses it instead of building the maps
+    monkeypatch.setattr(colimits, "close_and_collapse", _discrete)
+    assert glue("sum", [("l", antichain(2)), ("r", point())]).object.n == 3
+    with pytest.raises(NotMonotone, match="not monotone on r:c0 <= r:c1"):
+        glue("sum", [("l", antichain(2)), ("r", chain(2))])
+
+
+_DISCRETE_CLOSURE = """
+import sys
+from kaninj import chain, colimits
+from kaninj.errors import NotMonotone
+from kaninj.poset import Poset
+
+print("optimize", sys.flags.optimize)
+colimits.close_and_collapse = lambda labels, pairs: (
+    Poset(labels, [1 << i for i in range(len(labels))], validate=False),
+    tuple(range(len(labels))),
+)
+try:
+    colimits.glue("sum", [("l", chain(3)), ("r", chain(2))])
+except NotMonotone as exc:
+    print(exc)
+"""
+
+
+def test_glue_checks_its_injections_under_optimize():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _DISCRETE_CLOSURE],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.splitlines()
+    assert out == ["optimize 1", "injection is not monotone on l:c0 <= l:c1"]
 
 
 @st.composite

@@ -1,9 +1,10 @@
 import functools
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kaninj import (
     MonotoneMap,
@@ -27,8 +28,10 @@ from kaninj import (
 from kaninj import cache, config
 from kaninj.errors import CycleDetected, NotMonotone, NotParallel
 from kaninj.poset import (
+    _SLICE,
     TwoCell,
     _mask_rows,
+    _reach,
     _row_masks,
     _search,
     classify_adjoint,
@@ -125,6 +128,66 @@ def test_close_and_collapse_matches_oracle(pres):
     with pytest.raises(CycleDetected) as err:
         build_poset(labels, label_pairs)
     assert str(err.value) == f"labels {elements[i]!r} and {elements[j]!r} are forced equal"
+
+
+def check_reach(n, src, dst, reaches):
+    """_reach's (comp, reach) on the arcs src -> dst against ``reaches``,
+    the reflexive reachability as an n x n boolean matrix."""
+    comp, reach = _reach(n, np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
+    assert sorted(set(comp)) == list(range(len(reach)))
+    mutual = reaches & reaches.T
+    assert all(mutual[u, v] == (comp[u] == comp[v]) for u in range(n) for v in range(n))
+    # sinks first: an arc never enters a later component
+    assert all(comp[d] <= comp[s] for s, d in zip(src, dst))
+    for u in range(n):
+        want = sum(1 << c for c in {comp[v] for v in np.flatnonzero(reaches[u])})
+        assert reach[comp[u]] == want
+
+
+def warshall(n, src, dst) -> np.ndarray:
+    r = np.eye(n, dtype=bool)
+    r[np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)] = True
+    for k in range(n):
+        r |= r[:, k, None] & r[None, k, :]
+    return r
+
+
+@st.composite
+def digraphs(draw):
+    """Arcs on 0 to 12 nodes in random order, with self-loops and
+    repeated arcs mixed in."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    idx = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(idx, idx), max_size=3 * n))
+    arcs += [(v, v) for v in draw(st.lists(idx, max_size=3))]
+    if arcs:
+        arcs += draw(st.lists(st.sampled_from(arcs), max_size=4))
+    return n, draw(st.permutations(arcs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs())
+def test_reach_matches_brute_reachability(graph):
+    n, arcs = graph
+    src, dst = [a for a, _ in arcs], [b for _, b in arcs]
+    check_reach(n, src, dst, warshall(n, src, dst))
+
+
+def test_reach_across_a_slice_boundary():
+    # more arcs than one slice of the adjacency lists, mostly upward with
+    # some back arcs, so most nodes' lists are filled from both slices
+    rng = random.Random(7)
+    n, m = 600, _SLICE + 4000
+    arcs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(m - 100)]
+    arcs += [(i, i - rng.randrange(1, 40)) for i in rng.sample(range(40, n), 100)]
+    rng.shuffle(arcs)
+    src, dst = [a for a, _ in arcs], [b for _, b in arcs]
+    assert len(arcs) > _SLICE
+    reaches = warshall(n, src, dst)
+    assert 1 < len(set(map(bytes, reaches & reaches.T))) < n
+    check_reach(n, src, dst, reaches)
 
 
 def test_all_posets_extends_the_smaller_sizes():
@@ -480,6 +543,30 @@ def test_adjoints_match_definition():
                 assert flags.is_rari == (then(m.assignment, left) == ida)
                 checked += 1
     assert checked == 485
+
+
+@st.composite
+def small_maps(draw):
+    """A random monotone map between posets of at most 5 elements, each
+    built from random pairs along a random order of its labels."""
+    ends = []
+    for _ in range(2):
+        n = draw(st.integers(0, 5))
+        names = draw(st.permutations([f"p{i}" for i in range(n)]))
+        pairs = [(names[i], names[j]) for i, j in combinations(range(n), 2) if draw(st.booleans())]
+        ends.append(build_poset(names, pairs))
+    maps = enumerate_monotone(*ends)
+    assume(maps)
+    return draw(st.sampled_from(maps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_maps())
+def test_adjoints_match_brute_on_random_posets(m):
+    right, left = brute_adjoints(m)
+    r, t = right_adjoint(m), left_adjoint(m)
+    assert (r and r.assignment) == right
+    assert (t and t.assignment) == left
 
 
 def test_monotone_value_sets_infeasible():
