@@ -26,11 +26,14 @@ raises stores nothing.  The check decides each row on plain tuples
 with the same two routes.
 
 ``is_injective`` and ``is_weakly_injective`` decide from the scan and
-share one adjoint cross-check, which builds one adjoint per class map
-h: the restriction map m = hom(h, x) must have a left adjoint t, with
-m∘t = id for the strong verdict.  Every search runs under
-``config.size_cap()`` except the cross-check's hom-posets
-(``hom._hom_at_most``), which get a fixed budget of their own
+share one adjoint cross-check (``_cross_check``), one per class map h:
+the restriction map m = hom(h, x) must have a left adjoint t, with
+m∘t = id for the strong verdict.  It is decided on the hom-sets'
+assignment tuples, without building either hom-poset's order or m:
+t(f) exists when the maps g with f <= g∘h take a least value at every
+point of cod h, and is then the map of those least values.  Every
+search runs under ``config.size_cap()`` except the cross-check's
+hom-sets (``hom._hom_at_most``), which get a fixed budget of their own
 (``50 * CROSS_CHECK_CAP`` nodes) and stop at the map after
 ``CROSS_CHECK_CAP``; h is skipped when either runs out, and that
 outcome is memoised with the hom-posets.  Both verdicts decide from
@@ -63,8 +66,8 @@ from .errors import (
     NotMonotone,
     PostconditionFailed,
 )
-from .hom import KanResult, _hom_at_most, _least_values, _restriction, _span_join
-from .poset import MonotoneMap, Poset, iter_monotone_assignments, left_adjoint
+from .hom import KanResult, _hom_at_most, _least_values, _span_join
+from .poset import MonotoneMap, Poset, _fibers, _preimage, iter_monotone_assignments
 
 __all__ = [
     "InjectivityReport",
@@ -213,22 +216,65 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple):
             yield hi, f
 
 
-def _small_precompose(h: MonotoneMap, x: Poset) -> Optional[MonotoneMap]:
-    """Restriction map between hom-posets, or None when either has more
-    than CROSS_CHECK_CAP maps or its search runs out of its budget."""
+def _cross_check(h: MonotoneMap, x: Poset, strong: bool) -> Optional[bool]:
+    """Whether the restriction map m = hom(h, x): hom(cod h, x) ->
+    hom(dom h, x), g -> g∘h, has a left adjoint t, with m∘t = id when
+    strong; None when either hom-set has more than CROSS_CHECK_CAP maps
+    or its search runs out of its budget (``_hom_at_most``).
+
+    Decided on the hom-sets' assignment tuples, without building either
+    hom-poset's order or the map m.  t(f) is the least g in
+    U_f = {g : f <= g∘h}, the AND over a in dom h of the maps whose
+    value at h(a) lies in the up-set of f(a): a bitmask over
+    hom(cod h, x), read off the fibers of each coordinate.  A least
+    element of U_f takes the least value at every b, so t(f) exists
+    exactly when each set of values U_f takes at b has a least element
+    l(b); then t(f) is l.  l lies in U_f with no test: it is monotone
+    (for b <= b', a g in U_f with g(b') = l(b') bounds l(b)), and l(h(a))
+    is a value that maps in U_f take at h(a), so it lies above f(a).
+    m∘t = id at f when l∘h = f."""
     hb = _hom_at_most(h.cod, x, CROSS_CHECK_CAP, 50 * CROSS_CHECK_CAP)
     if hb is None:
         return None
     ha = _hom_at_most(h.dom, x, CROSS_CHECK_CAP, 50 * CROSS_CHECK_CAP)
-    return None if ha is None else _restriction(h, hb, ha)
+    if ha is None:
+        return None
+    up, least_of = x.up_masks, x.least_of
+    fibers = [_fibers([g[b] for g in hb.assignments], x.n) for b in range(h.cod.n)]
+    taken = [[(1 << v, fib[v]) for v in range(x.n) if fib[v]] for fib in fibers]
+    full = (1 << len(hb)) - 1
+    pre, leasts = {}, {}
+    for f in ha.assignments:
+        u = full
+        for b, v in zip(h.assignment, f):
+            p = pre.get((b, v))
+            if p is None:
+                p = pre[b, v] = _preimage(fibers[b], up[v])
+            u &= p
+        least = []
+        for col in taken:
+            vmask = 0
+            for bit, fiber in col:
+                if fiber & u:
+                    vmask |= bit
+            try:
+                l = leasts[vmask]
+            except KeyError:
+                l = leasts[vmask] = least_of(vmask)
+            if l is None:
+                return False
+            least.append(l)
+        if strong and tuple(least[b] for b in h.assignment) != f:
+            return False
+    return True
 
 
 def _decide(x: Poset, klass: MapClass, strong: bool, witnesses: bool = True) -> InjectivityReport:
     """The scan and cross-check behind both object verdicts.
 
     With strong, x holds along h when every extension exists and is
-    strict, and the cross-check asks for the restriction map m to be a
-    rali: a left adjoint t with m∘t = id (``t.then(m)`` the identity);
+    strict, and the cross-check (``_cross_check``) asks for the
+    restriction map m to be a rali: a left adjoint t with m∘t = id;
     without, existence is enough and the cross-check asks for a left
     adjoint.  Without witnesses the report carries none, and the only
     maps built are the f of the failures.
@@ -251,12 +297,10 @@ def _decide(x: Poset, klass: MapClass, strong: bool, witnesses: bool = True) -> 
     else:
         verdict = "weak"
     cross = None
-    for hi, h in enumerate(klass.maps):
-        m = _small_precompose(h, x)
-        if m is None:
+    for hi, h in enumerate(maps):
+        adjoint = _cross_check(h, x, strong)
+        if adjoint is None:
             continue
-        t = left_adjoint(m)
-        adjoint = t is not None and (not strong or t.then(m) == MonotoneMap.identity(m.cod))
         agree = adjoint == held[hi]
         cross = agree if cross is None else (cross and agree)
     return InjectivityReport(_subject(x), verdict, tuple(table), tuple(failures), cross)

@@ -639,32 +639,45 @@ def _search(a: Poset, x: Poset, masks: Sequence[int], cap: int, spent: list):
     """Yield the assignments of monotone maps a -> x that take a value in
     masks[e] at each e.  Backtracks over a linear extension with bitmask
     pruning, counting each value tried in spent[0], which the searches
-    of one value-set row share; SizeCapExceeded once the count passes cap."""
+    of one value-set row share; SizeCapExceeded once the count passes cap.
+
+    One loop over an explicit stack: left[k] holds the values still to
+    try at the k-th element of the extension, lowest first, and is set
+    when the search steps down to it, from masks and the values already
+    placed at the element's lower covers.  Values are tried, counted
+    and yielded in the order of a depth-first recursion."""
     n = a.n
+    if n == 0:
+        yield ()
+        return
     order = a.topo_order
     lower_cov = a.lower_covers
     up = x.up_masks
     assign = [0] * n
-
-    def rec(k: int):
-        if k == n:
+    levels = [(masks[e], lower_cov[e]) for e in order]
+    left = [0] * n
+    left[0] = levels[0][0]
+    last = n - 1
+    k = 0
+    while k >= 0:
+        mask = left[k]
+        if not mask:
+            k -= 1
+            continue
+        low = mask & -mask
+        left[k] = mask ^ low
+        spent[0] += 1
+        if spent[0] > cap:
+            raise SizeCapExceeded(cap, n, x.n, spent[0])
+        assign[order[k]] = low.bit_length() - 1
+        if k == last:
             yield tuple(assign)
-            return
-        e = order[k]
-        mask = masks[e]
-        for c in lower_cov[e]:
+            continue
+        k += 1
+        mask, covers = levels[k]
+        for c in covers:
             mask &= up[assign[c]]
-        while mask:
-            low = mask & -mask
-            v = low.bit_length() - 1
-            mask ^= low
-            spent[0] += 1
-            if spent[0] > cap:
-                raise SizeCapExceeded(cap, n, x.n, spent[0])
-            assign[e] = v
-            yield from rec(k + 1)
-
-    yield from rec(0)
+        left[k] = mask
 
 
 def iter_monotone_assignments(a: Poset, x: Poset, cap: Optional[int] = None):

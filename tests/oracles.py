@@ -7,6 +7,8 @@ and formula paths.  Slow on purpose; only run at desk scale.
 
 import itertools
 
+from kaninj.errors import SizeCapExceeded
+
 
 def brute_monotone(dom, cod):
     """Every monotone assignment dom -> cod by full product scan."""
@@ -255,6 +257,37 @@ def brute_adjoints(m):
         if all(bool(a.leq[r[j], i]) == bool(b.leq[j, m.assignment[i]]) for i, j in pairs):
             left = r
     return right, left
+
+
+def brute_search(a, x, masks, cap, spent):
+    """The monotone search as a recursive generator, one ``yield from``
+    per level: the reference order, node count and cap trip for
+    ``poset._search``."""
+    n = a.n
+    order = a.topo_order
+    lower_cov = a.lower_covers
+    up = x.up_masks
+    assign = [0] * n
+
+    def rec(k: int):
+        if k == n:
+            yield tuple(assign)
+            return
+        e = order[k]
+        mask = masks[e]
+        for c in lower_cov[e]:
+            mask &= up[assign[c]]
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            mask ^= low
+            spent[0] += 1
+            if spent[0] > cap:
+                raise SizeCapExceeded(cap, n, x.n, spent[0])
+            assign[e] = v
+            yield from rec(k + 1)
+
+    yield from rec(0)
 
 
 def down_sets(x) -> set:

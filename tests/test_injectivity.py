@@ -1,6 +1,8 @@
 import dataclasses
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kaninj import (
     DomainMismatch,
@@ -13,6 +15,7 @@ from kaninj import (
     SizeCapExceeded,
     all_posets,
     antichain,
+    build_poset,
     chain,
     class_bottom,
     class_bottom_join,
@@ -21,6 +24,7 @@ from kaninj import (
     closure_check,
     cone_class,
     diamond,
+    empty,
     enumerate_monotone,
     extend_along_unit,
     is_injective,
@@ -235,7 +239,7 @@ def test_map_verdict_decides_each_endpoint_once(monkeypatch):
 
 def test_cached_verdict_raises_on_cross_check_disagreement(monkeypatch):
     # with no left adjoint, the cross-check reads vee's strong verdict as wrong
-    monkeypatch.setattr(injectivity, "left_adjoint", lambda m: None)
+    monkeypatch.setattr(injectivity, "_cross_check", lambda h, x, strong: False)
     clear_caches()
     with pytest.raises(PostconditionFailed):
         verdict(vee(), class_join())
@@ -273,6 +277,15 @@ def test_scan_raises_on_a_non_monotone_extension(monkeypatch):
     assert not len(_VERDICTS)
 
 
+def _restriction_adjoint(h, hb, ha, strong):
+    """Whether the restriction map m between the hom-posets
+    hb = hom(cod h, x) and ha = hom(dom h, x) has a left adjoint t, with
+    m∘t = id when strong."""
+    m = _restriction(h, hb, ha)
+    t = left_adjoint(m)
+    return t is not None and (not strong or t.then(m) == MonotoneMap.identity(m.cod))
+
+
 def _old_cross_check(x, klass, cap):
     """The cross-check from full hom-posets under a budget of 50 * cap
     nodes, skipping h when either has more than cap maps; held along h
@@ -286,10 +299,7 @@ def _old_cross_check(x, klass, cap):
             continue
         if len(hb) > cap or len(ha) > cap:
             continue
-        m = _restriction(h, hb, ha)
-        t = left_adjoint(m)
-        rali = t is not None and t.then(m) == MonotoneMap.identity(m.cod)
-        agree = rali == brute_strong(x, MapClass("h", (h,)))
+        agree = _restriction_adjoint(h, hb, ha, True) == brute_strong(x, MapClass("h", (h,)))
         cross = agree if cross is None else (cross and agree)
     return cross
 
@@ -339,6 +349,67 @@ def test_cross_check_stops_at_its_cap(monkeypatch):
         copy = Poset(list(x.elements), list(x.up_masks))
         assert verdict(copy, klass) == verdict(x, klass)
     assert len(taken) == seen
+
+
+def _adjoint_of_restriction(h, x, strong):
+    """The cross-check along h by the full hom-posets, None when either
+    has more than CROSS_CHECK_CAP maps."""
+    hb, ha = hom_poset(h.cod, x), hom_poset(h.dom, x)
+    if max(len(hb), len(ha)) > injectivity.CROSS_CHECK_CAP:
+        return None
+    return _restriction_adjoint(h, hb, ha, strong)
+
+
+def _check_cross_check(h, x, seen):
+    """_cross_check along h into x, strong and weak, against the
+    hom-posets; records the pair of answers in seen."""
+    got = tuple(injectivity._cross_check(h, x, strong) for strong in (True, False))
+    want = tuple(_adjoint_of_restriction(h, x, strong) for strong in (True, False))
+    assert got == want, (h, x.elements)
+    seen.add(want)
+
+
+def test_cross_check_matches_the_restriction_adjoint():
+    seen = set()
+    classes = _shipped_and_cone_classes() + [collapse_class()]
+    for klass in classes:
+        for x in all_posets(3):
+            for h in klass.maps:
+                _check_cross_check(h, x, seen)
+    # the empty poset as x and as dom h, and an empty hom(dom h, x)
+    into_point = MonotoneMap(empty(), point(), [])
+    for h in (into_point, MonotoneMap.identity(empty()), class_join().maps[0]):
+        for x in (empty(), point(), antichain(2), vee()):
+            _check_cross_check(h, x, seen)
+    assert injectivity._cross_check(class_join().maps[0], empty(), True) is True
+    assert injectivity._cross_check(into_point, empty(), False) is False
+    # no adjoint, an adjoint but no rali, and a rali
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
+@st.composite
+def _posets(draw, most=5):
+    n = draw(st.integers(0, most))
+    names = draw(st.permutations([f"p{i}" for i in range(n)]))
+    pairs = [(names[i], names[j]) for i, j in combinations(range(n), 2) if draw(st.booleans())]
+    return build_poset(names, pairs)
+
+
+@st.composite
+def _restrictions(draw):
+    """A random monotone h between posets of at most 5 elements, and a
+    poset x of at most 5."""
+    dom, cod = draw(_posets()), draw(_posets())
+    maps = enumerate_monotone(dom, cod)
+    assume(maps)
+    return draw(st.sampled_from(maps)), draw(_posets())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_restrictions())
+def test_cross_check_matches_the_restriction_adjoint_on_random_posets(case):
+    h, x = case
+    _check_cross_check(h, x, set())
 
 
 def test_mapping_cone_shape_for_join():

@@ -48,6 +48,7 @@ from oracles import (
     brute_close_and_collapse,
     brute_monotone,
     brute_posets,
+    brute_search,
     masks_of,
 )
 
@@ -479,6 +480,73 @@ def test_enumerate_monotone_lex_sorted():
 def test_iter_cap_raises():
     with pytest.raises(SizeCapExceeded):
         list(iter_monotone_assignments(antichain(4), chain(4), cap=3))
+
+
+def _drain(search, a, x, masks, cap, spent, most=None) -> tuple:
+    """The first ``most`` tuples a search yields (all when None), the
+    node count it leaves in spent and the visited of its cap trip."""
+    out = []
+    try:
+        for t in search(a, x, masks, cap, spent):
+            out.append(t)
+            if len(out) == most:
+                break
+    except SizeCapExceeded as exc:
+        return out, spent[0], exc.visited
+    return out, spent[0], None
+
+
+def _pinned_rows(a, x):
+    """The rows ``_certified_sets`` certifies v at i with: v at i, below
+    v under i, above v over i, for every i of a and v of x."""
+    for i in range(a.n):
+        for v in range(x.n):
+            row = [x.full_mask] * a.n
+            for e in range(a.n):
+                if a.down_masks[i] >> e & 1:
+                    row[e] &= x.down_masks[v]
+                if a.up_masks[i] >> e & 1:
+                    row[e] &= x.up_masks[v]
+            row[i] = 1 << v
+            yield row
+
+
+def test_search_matches_recursive_reference():
+    rng = random.Random(11)
+    shapes = list(all_posets(3)) + [diamond(), bowtie(), antichain(4), chain(4)]
+    pairs = [(a, x) for a in shapes for x in shapes]
+    for _ in range(30):
+        ends = []
+        for _ in range(2):
+            names = [f"p{k}" for k in rng.sample(range(60), rng.randint(5, 6))]
+            ends.append(build_poset(names, [(p, q) for p, q in combinations(names, 2) if rng.random() < 0.3]))
+        pairs.append(tuple(ends))
+    big = 10**9
+    tripped = 0
+    for a, x in pairs:
+        rows = [[x.full_mask] * a.n, lower_row(a, x, random_lower(rng, a, x) if x.n else {})]
+        for row in rows:
+            want = _drain(brute_search, a, x, row, big, [0])
+            assert _drain(_search, a, x, row, big, [0]) == want, (a.elements, x.elements, row)
+            # a cap that trips mid-search, with the same count and visited
+            cap = want[1] // 2
+            if want[1] > 1:
+                want = _drain(brute_search, a, x, row, cap, [0])
+                assert want[2] == cap + 1
+                assert _drain(_search, a, x, row, cap, [0]) == want, (a.elements, x.elements, cap)
+                tripped += 1
+        # the certification searches of one row share one count, and
+        # each stops at its first map
+        pinned = list(_pinned_rows(a, x))
+        for cap in (big, rng.randint(1, 4 * len(pinned) + 1)):
+            mine, ref = [0], [0]
+            for row in pinned:
+                want = _drain(brute_search, a, x, row, cap, ref, most=1)
+                assert _drain(_search, a, x, row, cap, mine, most=1) == want, (a.elements, x.elements, row)
+                if want[2] is not None:
+                    tripped += 1
+                    break
+    assert tripped > 100
 
 
 def test_monotone_value_sets_forest_exact():
