@@ -71,15 +71,7 @@ from .errors import (
     SizeCapExceeded,
     UnknownLabel,
 )
-from .hom import (
-    KanResult,
-    beck_chevalley,
-    hom_poset,
-    is_dense,
-    left_kan,
-    postcompose,
-    precompose,
-)
+from .hom import KanResult, hom_poset, is_dense, left_kan
 from .injectivity import (
     InjectivityReport,
     cone_class,

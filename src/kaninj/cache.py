@@ -3,15 +3,15 @@
 Every process-wide cache in kaninj is a ``BoundedCache``: the verdict
 cache behind ``injectivity.verdict``, the extension tables of
 ``injectivity._extensions``, the reflections of ``chain.reflect``, the
-hom-posets of ``hom_poset``, the strong part of a closure-check sample,
-and ``all_posets``.  Each key carries everything that changes the
-stored answer; for a result of a capped search that includes the cap
-it ran under (``config.size_cap()``, or for a hom-poset
-``config.effective_cap`` of its own budget), so a smaller cap set later
-searches again and raises ``SizeCapExceeded`` where a fresh process
-would.  A failed computation stores nothing.  A stored value is handed
-to every caller that asks for it: it is shared and must not be
-mutated.
+hom-posets of ``hom_poset`` and of the injectivity cross-check, the
+strong part of a closure-check sample, and ``all_posets``.  Each key
+carries everything that changes the stored answer; for a result of a
+capped search that includes the cap it ran under
+(``config.size_cap()``, or for a cross-check hom-poset the fixed
+budget it was given), so a smaller cap set later searches again and
+raises ``SizeCapExceeded`` where a fresh process would.  A failed
+computation stores nothing.  A stored value is handed to every caller
+that asks for it: it is shared and must not be mutated.
 
 Each table keeps at most ``BOUND`` entries and drops the least recently
 used one beyond that.  ``clear_caches()`` empties every table.

@@ -69,16 +69,20 @@ __all__ = [
 class SpanRecord:
     """One span processed by an odd step.
 
-    stage is the even index the span was found at: f lands in X_stage and
-    the coprojection f//h lands in X_{stage+1}.  strict_square records
-    that the pushout square commuted exactly (always true here; kept
-    because the construction only promises an inequality).
+    stage is the even index the span was found at: f is the assignment
+    of a map dom(h) -> X_stage and coproj that of the coprojection
+    f//h: cod(h) -> X_{stage+1}.  h is the class map the span was minted
+    for, at index h_index of its class, shared and not copied.
+    strict_square records that the pushout square commuted exactly
+    (always true here; kept because the construction only promises an
+    inequality).
     """
 
     stage: int
     h_index: int
-    f: MonotoneMap
-    coproj: MonotoneMap
+    h: MonotoneMap
+    f: tuple
+    coproj: tuple
     strict_square: bool
 
 
@@ -260,14 +264,7 @@ def step_odd(state: ChainState, klass: MapClass) -> ChainState:
         fs, ws = np.concatenate([old_fs, fs]), np.concatenate([old_ws, ws])
         pushed[hi] = (idx, _frozen(fs), _frozen(ws))
     records = tuple(
-        SpanRecord(
-            i,
-            hi,
-            MonotoneMap(h.dom, xi, f, validate=False),
-            MonotoneMap(h.cod, nxt, coproj, validate=False),
-            True,
-        )
-        for (hi, h, f), coproj in zip(spans, coprojs)
+        SpanRecord(i, hi, h, f, coproj, True) for (hi, h, f), coproj in zip(spans, coprojs)
     )
     return ChainState(
         state.stages + (nxt,),
@@ -447,10 +444,11 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
 
     One entry per stage i < stages_used: (X_{i+1}, its cover pairs, the
     connector's assignment, the spans recorded at stage i).  A span is
-    (h, f's assignment, the coprojection's assignment, h.below()), whose
-    entry b lists the a in dom(h) with h(a) <= b.  DomainMismatch
-    when a span's map is not in the class, or is not the map the span
-    was recorded for: the class does not match the reflection.
+    (h, f, coproj, h.below()), f and coproj the record's assignments and
+    entry b of h.below() the a in dom(h) with h(a) <= b.  DomainMismatch
+    when the class has no map at a span's index, or a map there other
+    than the span's h (``MonotoneMap.key``): the class does not match
+    the reflection.
     """
     key = tuple(h.key() for h in klass.maps)
     plan = result.plans.get(key)
@@ -466,14 +464,12 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
                 f"class {klass.name} does not match the reflection: it has no map {rec.h_index}"
             )
         h = klass.maps[rec.h_index]
-        if h.dom.key != rec.f.dom.key or h.cod.key != rec.coproj.dom.key:
+        if h.key() != rec.h.key():
             raise DomainMismatch(
                 f"class {klass.name} does not match the reflection: "
                 f"its map {rec.h_index} is not the one the span at stage {rec.stage} used"
             )
-        spans_at.setdefault(rec.stage, []).append(
-            (h, rec.f.assignment, rec.coproj.assignment, h.below())
-        )
+        spans_at.setdefault(rec.stage, []).append((h, rec.f, rec.coproj, h.below()))
     plan = tuple(
         (
             state.stages[i + 1],

@@ -7,13 +7,12 @@ one).  It guards the |X|^|A| blowup without punishing searches that
 prune well.
 The environment variable KANINJ_SIZE_CAP overrides the default; a value
 that is not a positive integer is an error, not a silent fallback.
-Every search reads it when it runs; only ``hom_poset``'s cap, and the
-injectivity cross-check's hom-posets, give a search a fixed budget of
-its own.
+Every search reads it when it runs; only the injectivity cross-check's
+hom-posets give a search a fixed budget of its own, through
+``iter_monotone_assignments``'s ``cap``.
 """
 
 import os
-from typing import Optional
 
 DEFAULT_SIZE_CAP = 10_000_000
 
@@ -29,9 +28,3 @@ def size_cap() -> int:
     if value <= 0:
         raise ValueError(f"KANINJ_SIZE_CAP must be a positive integer, got {raw!r}")
     return value
-
-
-def effective_cap(cap: Optional[int]) -> int:
-    """The cap a search given cap will use: cap itself, or size_cap()
-    when it is None.  The hom-poset cache keys on this."""
-    return size_cap() if cap is None else cap

@@ -1,4 +1,4 @@
-"""Hom-posets, left Kan extensions along a map, density and Beck–Chevalley.
+"""Hom-sets, left Kan extensions along a map, and density.
 
 ``left_kan(f, h)`` computes the least monotone g with f <= g∘h, taking
 "least" globally: when the candidates only have several incomparable
@@ -23,113 +23,63 @@ Whether a poset is strong along a class, and whether a map preserves
 extensions, are decided in ``injectivity`` with ``left_kan``'s two
 routes.
 
-Every search runs under ``config.size_cap()``, read when it runs.
-``hom_poset(a, x, cap=None)`` alone takes a budget of its own and is
-memoised in a bounded table keyed on both posets and
-``config.effective_cap(cap)``, so its answer, a hom-poset or
+A hom-set hom(a, x) is held as the sorted assignment tuples of every
+monotone map a -> x; its order is pointwise and is not built.
+``hom_poset(a, x)`` runs under ``config.size_cap()``, read when it
+runs, like every search, and is memoised in a bounded table keyed on
+both posets and that cap, so its answer, a hom-set or
 ``SizeCapExceeded``, never depends on earlier calls.  The injectivity
-cross-check reads its hom-posets through ``_hom_at_most``, under a
-fixed budget: it stops at the map after its limit, and keeps the
-hom-poset, or None when there are more maps or the budget runs out, in
+cross-check reads its hom-sets through ``_hom_at_most``, under a fixed
+budget of its own: it stops at the map after its limit, and keeps the
+hom-set, or None when there are more maps or the budget runs out, in
 the same table, keyed also on the limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Optional
 
 from .cache import BoundedCache
-from .config import effective_cap
-from .errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
+from .config import size_cap
+from .errors import DomainMismatch, SizeCapExceeded
 from .poset import (
     MonotoneMap,
     Poset,
     _bound_row,
-    _fibers,
-    _preimage,
     iter_monotone_assignments,
     monotone_value_sets,
-    left_adjoint,
 )
 
 _HOMS = BoundedCache()
 
 
-class HomPoset:
-    """The poset of monotone maps a -> x under the pointwise order, from
-    the assignment tuples of all of them."""
-
-    def __init__(self, a: Poset, x: Poset, assignments: Iterable[tuple]):
-        self.a = a
-        self.x = x
-        self.assignments = tuple(sorted(assignments))
-        self.index = {t: k for k, t in enumerate(self.assignments)}
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    @cached_property
-    def as_poset(self) -> Poset:
-        m = len(self.assignments)
-        width = max(3, len(str(max(m - 1, 0))))
-        labels = [f"m{k:0{width}d}" for k in range(m)]
-        up = [(1 << m) - 1] * m
-        for k in range(self.a.n):
-            # the maps whose value at k is each value, then at or above it
-            fibers = _fibers([g[k] for g in self.assignments], self.x.n)
-            above = [_preimage(fibers, u) for u in self.x.up_masks]
-            up = [mask & above[g[k]] for mask, g in zip(up, self.assignments)]
-        return Poset(labels, up, validate=False)
-
-
-def hom_poset(a: Poset, x: Poset, cap: Optional[int] = None) -> HomPoset:
-    """hom(a, x), memoised per (a, x, effective cap)."""
+def hom_poset(a: Poset, x: Poset) -> tuple:
+    """hom(a, x): the sorted assignment tuples of the monotone maps
+    a -> x, memoised per (a, x, size cap)."""
+    cap = size_cap()
     return _HOMS.get(
-        (a.key, x.key, effective_cap(cap)),
-        lambda: HomPoset(a, x, iter_monotone_assignments(a, x, cap=cap)),
+        (a.key, x.key, cap),
+        lambda: tuple(sorted(iter_monotone_assignments(a, x, cap=cap))),
     )
 
 
-def _hom_at_most(a: Poset, x: Poset, most: int, cap: int) -> Optional[HomPoset]:
-    """hom(a, x) when it has at most ``most`` maps, None when it has
-    more or its search visits more than cap nodes first.  The search
-    stops at the map after ``most``, and the outcome, either one, is
-    memoised in hom_poset's table per (a, x, cap, most)."""
+def _hom_at_most(a: Poset, x: Poset, most: int, cap: int) -> Optional[tuple]:
+    """hom(a, x), as hom_poset gives it, when it has at most ``most``
+    maps, None when it has more or its search visits more than cap
+    nodes first.  The search stops at the map after ``most``, and the
+    outcome, either one, is memoised in hom_poset's table per
+    (a, x, cap, most)."""
 
-    def build() -> Optional[HomPoset]:
+    def build() -> Optional[tuple]:
         try:
             found = list(islice(iter_monotone_assignments(a, x, cap=cap), most + 1))
         except SizeCapExceeded:
             return None
-        return HomPoset(a, x, found) if len(found) <= most else None
+        return tuple(sorted(found)) if len(found) <= most else None
 
     return _HOMS.get((a.key, x.key, cap, most), build)
-
-
-def precompose(h: MonotoneMap, x: Poset) -> MonotoneMap:
-    """Restriction K(h, x): hom(cod h, x) -> hom(dom h, x), g -> g∘h,
-    as a monotone map between the hom-posets."""
-    return _restriction(h, hom_poset(h.cod, x), hom_poset(h.dom, x))
-
-
-def _restriction(h: MonotoneMap, src: HomPoset, tgt: HomPoset) -> MonotoneMap:
-    """precompose(h, x) on the hom-posets src = hom(cod h, x) and
-    tgt = hom(dom h, x) already in hand."""
-    assign = [
-        tgt.index[tuple(g[v] for v in h.assignment)] for g in src.assignments
-    ]
-    return MonotoneMap(src.as_poset, tgt.as_poset, assign, validate=False)
-
-
-def postcompose(a: Poset, p: MonotoneMap) -> MonotoneMap:
-    """K(a, p): hom(a, dom p) -> hom(a, cod p), t -> p∘t."""
-    src = hom_poset(a, p.dom)
-    tgt = hom_poset(a, p.cod)
-    assign = [tgt.index[tuple(p.assignment[v] for v in t)] for t in src.assignments]
-    return MonotoneMap(src.as_poset, tgt.as_poset, assign, validate=False)
 
 
 @dataclass(frozen=True)
@@ -212,18 +162,3 @@ def is_dense(f: MonotoneMap) -> bool:
     v is the least value any candidate takes at v."""
     r = left_kan(f, f)
     return r.exists and r.extension == MonotoneMap.identity(f.cod)
-
-
-def beck_chevalley(p: MonotoneMap, h: MonotoneMap) -> bool:
-    """Commutation of extension with postcomposition at the hom-poset level:
-    K(cod h, p) ∘ (-/h) = (-/h) ∘ K(dom h, p).
-
-    The extension functors are taken as left adjoints of the restriction
-    maps; NotInjectiveContext when either adjoint is missing."""
-    ext_x = left_adjoint(precompose(h, p.dom))
-    ext_xp = left_adjoint(precompose(h, p.cod))
-    if ext_x is None or ext_xp is None:
-        raise NotInjectiveContext("restriction map has no left adjoint")
-    post_a = postcompose(h.dom, p)
-    post_apr = postcompose(h.cod, p)
-    return ext_x.then(post_apr) == post_a.then(ext_xp)

@@ -240,11 +240,11 @@ def _cross_check(h: MonotoneMap, x: Poset, strong: bool) -> Optional[bool]:
     if ha is None:
         return None
     up, least_of = x.up_masks, x.least_of
-    fibers = [_fibers([g[b] for g in hb.assignments], x.n) for b in range(h.cod.n)]
+    fibers = [_fibers([g[b] for g in hb], x.n) for b in range(h.cod.n)]
     taken = [[(1 << v, fib[v]) for v in range(x.n) if fib[v]] for fib in fibers]
     full = (1 << len(hb)) - 1
     pre, leasts = {}, {}
-    for f in ha.assignments:
+    for f in ha:
         u = full
         for b, v in zip(h.assignment, f):
             p = pre.get((b, v))

@@ -684,7 +684,7 @@ def iter_monotone_assignments(a: Poset, x: Poset, cap: Optional[int] = None):
     """Yield assignment tuples of monotone maps a -> x.  One ``_search``
     with its own budget of ``cap`` visited nodes, ``config.size_cap()``
     when None; raises SizeCapExceeded when it is exhausted."""
-    cap = config.effective_cap(cap)
+    cap = config.size_cap() if cap is None else cap
     yield from _search(a, x, [x.full_mask] * a.n, cap, [0])
 
 

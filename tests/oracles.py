@@ -259,6 +259,28 @@ def brute_adjoints(m):
     return right, left
 
 
+def pointwise_leq(x, f, g):
+    """f <= g in the pointwise order of maps into x, on assignments."""
+    return all(x.leq[u, v] for u, v in zip(f, g))
+
+
+def restriction_adjoint(h, x, hom_cod, hom_dom, strong):
+    """Whether the restriction m: g -> g∘h from hom_cod = hom(cod h, x)
+    to hom_dom = hom(dom h, x), both lists of assignments under the
+    pointwise order, has a left adjoint t, with m∘t = id when strong.
+    From the adjunction's definition: t(f) is the least g with
+    f <= m(g), so t exists exactly when each such set of g has a least
+    element (it is an up-set, so it is then the up-set of that g)."""
+    for f in hom_dom:
+        above = [g for g in hom_cod if pointwise_leq(x, f, [g[v] for v in h.assignment])]
+        least = [g for g in above if all(pointwise_leq(x, g, g2) for g2 in above)]
+        if not least:
+            return False
+        if strong and tuple(least[0][v] for v in h.assignment) != tuple(f):
+            return False
+    return True
+
+
 def brute_search(a, x, masks, cap, spent):
     """The monotone search as a recursive generator, one ``yield from``
     per level: the reference order, node count and cap trip for

@@ -32,7 +32,6 @@ from kaninj import (
     is_injective,
     kz_laws,
     map_to_json,
-    point,
     poset_to_json,
     record_colimits,
     reflect,
@@ -213,19 +212,26 @@ def test_extend_along_unit_matches_the_closed_form(n):
     assert checked == 3 * 4 * 20
 
 
+def _swapped_join() -> MapClass:
+    """The join map with its two legs swapped: the same dom and cod."""
+    v = vee()
+    return MapClass("swap", (MonotoneMap(antichain(2), v, [v.index["b"], v.index["a"]]),))
+
+
 @pytest.mark.parametrize(
     "built, used",
     [
         (class_bottom_join(), class_join()),
         (class_join(), class_bottom()),
         (class_bottom_join(), class_bottom()),
+        (class_join(), _swapped_join()),
     ],
     ids=lambda k: k.name,
 )
 def test_extend_with_another_class_is_a_domain_mismatch(built, used):
     x = antichain(2)
     r = reflect(x, built)
-    p = MonotoneMap(x, point(), [0, 0])
+    p = MonotoneMap(x, chain(2), [0, 1])
     with pytest.raises(DomainMismatch, match="does not match the reflection"):
         extend_along_unit(p, r, used)
 
@@ -340,20 +346,20 @@ def test_postconditions_survive_optimize():
 _TAMPERED_SPAN = """
 import dataclasses
 import sys
-from kaninj import MonotoneMap, antichain, class_join, init_chain, step_even, step_odd
+from kaninj import antichain, class_join, init_chain, step_even, step_odd
 from kaninj.chain import ChainState
 from kaninj.errors import SquareDoesNotCommute
 
 print("optimize", sys.flags.optimize)
 st = step_odd(init_chain(antichain(2)), class_join())
 k, rec = next(
-    (k, r) for k, r in enumerate(st.span_registry) if len(set(r.f.assignment)) == 2
+    (k, r) for k, r in enumerate(st.span_registry) if len(set(r.f)) == 2
 )
 # swap the witness values at h(0) and h(1): the square no longer commutes
 h = class_join().maps[rec.h_index]
-w = list(rec.coproj.assignment)
+w = list(rec.coproj)
 w[h.assignment[0]], w[h.assignment[1]] = w[h.assignment[1]], w[h.assignment[0]]
-bad = dataclasses.replace(rec, coproj=MonotoneMap(rec.coproj.dom, rec.coproj.cod, w, validate=False))
+bad = dataclasses.replace(rec, coproj=tuple(w))
 spans = st.span_registry[:k] + (bad,) + st.span_registry[k + 1 :]
 # the same swap in the span's carried witness row
 idx, fs, ws = st.pushed[rec.h_index]
@@ -470,7 +476,7 @@ def chain_digest(r) -> str:
         "stages": [poset_to_json(s) for s in t.stages],
         "connectors": [list(c.assignment) for c in t.connectors],
         "spans": [
-            [s.stage, s.h_index, list(s.f.assignment), list(s.coproj.assignment), s.strict_square]
+            [s.stage, s.h_index, list(s.f), list(s.coproj), s.strict_square]
             for s in t.span_registry
         ],
         "gammas": [[g.stage, g.span_index, g.realized, g.pairs] for g in t.gamma_registry],
@@ -512,8 +518,8 @@ def carried_by_definition(state) -> dict:
     for si, rec in enumerate(state.span_registry):
         idx, fs, ws = want.setdefault(rec.h_index, ([], [], []))
         idx.append(si)
-        fs.append([to_top[rec.stage][v] for v in rec.f.assignment])
-        ws.append([to_top[rec.stage + 1][v] for v in rec.coproj.assignment])
+        fs.append([to_top[rec.stage][v] for v in rec.f])
+        ws.append([to_top[rec.stage + 1][v] for v in rec.coproj])
     return want
 
 

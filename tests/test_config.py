@@ -1,8 +1,8 @@
 """One search budget: KANINJ_SIZE_CAP, read by every search when it runs.
 
 Only the injectivity cross-check gives its hom-posets a budget of their
-own, so only the two public functions it reaches take a ``cap``
-parameter.
+own, so only the one public function it reaches,
+``iter_monotone_assignments``, takes a ``cap`` parameter.
 """
 
 import importlib
@@ -39,7 +39,7 @@ def test_only_the_cross_check_searches_take_a_cap():
             public = not attr.startswith("_")
             if public and inspect.isfunction(obj) and "cap" in inspect.signature(obj).parameters:
                 taking.add(obj.__name__)
-    assert taking == {"iter_monotone_assignments", "hom_poset"}
+    assert taking == {"iter_monotone_assignments"}
 
 
 def _searching_calls():

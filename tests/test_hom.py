@@ -24,7 +24,7 @@ from kaninj import (
 )
 from kaninj import clear_caches, hom
 from kaninj.errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
-from kaninj.hom import beck_chevalley, hom_poset, postcompose, precompose
+from kaninj.hom import hom_poset
 
 from oracles import brute_dense, brute_kan, brute_monotone
 
@@ -116,35 +116,16 @@ def test_left_kan_nonexistence():
     assert not r.exists and r.extension is None
 
 
-def test_hom_poset_is_pointwise_order():
-    h = hom_poset(chain(2), vee())
-    maps = brute_monotone(chain(2), vee())
-    p = h.as_poset
-    assert p.n == len(maps)
-    v = vee()
-    for i, a in enumerate(h.assignments):
-        for j, b in enumerate(h.assignments):
-            expect = all(v.leq[a[k], b[k]] for k in range(2))
-            assert bool(p.leq[i, j]) == expect
-    assert set(h.assignments) == set(maps)
+def test_hom_poset_enumerates_every_monotone_map():
+    for a in all_posets(3):
+        for x in all_posets(3):
+            assert hom_poset(a, x) == tuple(brute_monotone(a, x)), (a.elements, x.elements)
 
 
 def test_hom_poset_of_empty_ends():
     # no map into the empty poset, and exactly one out of it
-    h = hom_poset(point(), empty())
-    assert len(h) == 0 and h.as_poset.n == 0
-    h = hom_poset(empty(), vee())
-    assert len(h) == 1 and h.as_poset.leq.tolist() == [[True]]
-
-
-def test_pre_and_postcompose_are_monotone_actions():
-    f = MonotoneMap(chain(2), vee(), [0, 2])
-    pre = precompose(f, chain(2))   # hom(vee, 2-chain) -> hom(2-chain, 2-chain)
-    post = postcompose(point(), f)  # hom(point, 2-chain) -> hom(point, vee)
-    assert pre.dom.n == len(brute_monotone(vee(), chain(2)))
-    assert pre.cod.n == len(brute_monotone(chain(2), chain(2)))
-    assert post.dom.n == len(brute_monotone(point(), chain(2)))
-    assert post.cod.n == len(brute_monotone(point(), vee()))
+    assert len(hom_poset(point(), empty())) == 0
+    assert hom_poset(empty(), vee()) == ((),)
 
 
 def test_is_dense_matches_brute():
@@ -208,20 +189,16 @@ def test_preserves_kan_verdicts():
     assert not preserves_kan(crush, join_map())
 
 
-def test_beck_chevalley_instance():
-    keep = MonotoneMap(vee(), chain(2), [0, 1, 1])
-    assert beck_chevalley(keep, join_map())
-
-
 def test_clear_caches_runs():
     left_kan(MonotoneMap.identity(vee()), MonotoneMap.identity(vee()))
     clear_caches()
 
 
-def test_hom_poset_honours_cap_after_uncapped_call():
+def test_hom_poset_honours_cap_after_uncapped_call(monkeypatch):
     # the answer must not depend on call history: a cached hom-poset
     # found under the default cap does not answer a call with a smaller one
     full = hom_poset(chain(3), vee())
+    monkeypatch.setenv("KANINJ_SIZE_CAP", "2")
     with pytest.raises(SizeCapExceeded):
-        hom_poset(chain(3), vee(), cap=2)
+        hom_poset(chain(3), vee())
     assert len(full) == len(brute_monotone(chain(3), vee()))

@@ -43,7 +43,7 @@ from kaninj import (
 )
 from kaninj import cache, hom, injectivity
 from kaninj.chain import _REFLECTIONS
-from kaninj.hom import _restriction, hom_poset, left_kan
+from kaninj.hom import hom_poset, left_kan
 from kaninj.injectivity import (
     _EXTENSIONS,
     _VERDICTS,
@@ -52,10 +52,17 @@ from kaninj.injectivity import (
     _report,
     _unpreserved,
 )
-from kaninj.poset import Poset, left_adjoint
+from kaninj.poset import Poset, iter_monotone_assignments
 from kaninj.verify import _cone_classes
 
-from oracles import brute_kan, brute_monotone, brute_preserves, brute_strong, brute_weak
+from oracles import (
+    brute_kan,
+    brute_monotone,
+    brute_preserves,
+    brute_strong,
+    brute_weak,
+    restriction_adjoint,
+)
 
 
 def collapse_class():
@@ -277,29 +284,20 @@ def test_scan_raises_on_a_non_monotone_extension(monkeypatch):
     assert not len(_VERDICTS)
 
 
-def _restriction_adjoint(h, hb, ha, strong):
-    """Whether the restriction map m between the hom-posets
-    hb = hom(cod h, x) and ha = hom(dom h, x) has a left adjoint t, with
-    m∘t = id when strong."""
-    m = _restriction(h, hb, ha)
-    t = left_adjoint(m)
-    return t is not None and (not strong or t.then(m) == MonotoneMap.identity(m.cod))
-
-
 def _old_cross_check(x, klass, cap):
-    """The cross-check from full hom-posets under a budget of 50 * cap
+    """The cross-check from full hom-sets under a budget of 50 * cap
     nodes, skipping h when either has more than cap maps; held along h
     from the brute-force oracle."""
     cross = None
     for h in klass.maps:
         try:
-            hb = hom_poset(h.cod, x, cap=50 * cap)
-            ha = hom_poset(h.dom, x, cap=50 * cap)
+            hb = list(iter_monotone_assignments(h.cod, x, cap=50 * cap))
+            ha = list(iter_monotone_assignments(h.dom, x, cap=50 * cap))
         except SizeCapExceeded:
             continue
         if len(hb) > cap or len(ha) > cap:
             continue
-        agree = _restriction_adjoint(h, hb, ha, True) == brute_strong(x, MapClass("h", (h,)))
+        agree = restriction_adjoint(h, x, hb, ha, True) == brute_strong(x, MapClass("h", (h,)))
         cross = agree if cross is None else (cross and agree)
     return cross
 
@@ -315,7 +313,7 @@ def test_cross_check_stops_at_its_cap(monkeypatch):
         for h in klass.maps:
             for a in (h.dom, h.cod):
                 try:
-                    sizes[a.key, x.key] = len(hom_poset(a, x, cap=50 * cap))
+                    sizes[a.key, x.key] = len(list(iter_monotone_assignments(a, x, cap=50 * cap)))
                 except SizeCapExceeded:
                     sizes[a.key, x.key] = None
     assert None in want and True in want
@@ -357,7 +355,7 @@ def _adjoint_of_restriction(h, x, strong):
     hb, ha = hom_poset(h.cod, x), hom_poset(h.dom, x)
     if max(len(hb), len(ha)) > injectivity.CROSS_CHECK_CAP:
         return None
-    return _restriction_adjoint(h, hb, ha, strong)
+    return restriction_adjoint(h, x, hb, ha, strong)
 
 
 def _check_cross_check(h, x, seen):
