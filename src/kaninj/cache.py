@@ -3,11 +3,11 @@
 Every process-wide cache in kaninj is a ``BoundedCache``: the verdict
 cache behind ``injectivity.verdict``, the extension tables of
 ``injectivity._extensions``, the reflections of ``chain.reflect``, the
-hom-posets of ``hom_poset`` and of the injectivity cross-check, the
+hom-sets of ``hom_poset`` and of the injectivity cross-check, the
 strong part of a closure-check sample, and ``all_posets``.  Each key
 carries everything that changes the stored answer; for a result of a
 capped search that includes the cap it ran under
-(``config.size_cap()``, or for a cross-check hom-poset the fixed
+(``config.size_cap()``, or for a cross-check hom-set the fixed
 budget it was given), so a smaller cap set later searches again and
 raises ``SizeCapExceeded`` where a fresh process would.  A failed
 computation stores nothing.  A stored value is handed to every caller
@@ -29,7 +29,7 @@ from collections import OrderedDict
 from typing import Callable, Hashable
 
 # entries per table; the largest working set measured, about 540
-# hom-posets in one extend-sweep benchmark repetition, fits under it
+# hom-sets in one extend-sweep benchmark repetition, fits under it
 BOUND = 1024
 
 _TABLES: list = []

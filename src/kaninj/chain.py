@@ -38,7 +38,7 @@ from .errors import (
     QuotientViolation,
     SquareDoesNotCommute,
 )
-from .hom import _least_values, _span_join, is_dense, left_kan
+from .hom import _least_extension, is_dense, left_kan
 from .injectivity import _extensions, _unpreserved, strong_objects, verdict
 from .poset import (
     MonotoneMap,
@@ -509,16 +509,24 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
 
     The stages, connectors and spans are walked through an extension
     plan built once per reflection and class (``_extension_plan``) and
-    kept on the result, so a call works on plain tuples.  Each witness
-    value is the join in P of the values below it (``_span_join``);
-    only when such a join is missing does a span take the least of each
-    exact value set instead (``hom._least_values``), left_kan's other
-    route.  Each span's extension must restrict back to p_i∘f exactly
-    and each stage map must be monotone (NotMonotone otherwise).  The
-    result is the least extension of p along the unit and restricts
-    back to p exactly (both checked against the direct Kan computation;
-    PostconditionFailed otherwise).  DomainMismatch when the class is
-    not the one the reflection was built for.
+    kept on the result, so a call works on plain tuples.  Each span's
+    witness values are the least extension (p_i∘f)/h, computed by
+    left_kan's routine (``hom._least_extension``) over the plan's copy of
+    h.below(): the join in P of the values below each witness, or the
+    least of each exact value set where a join is missing.  Each span's
+    extension must restrict back to p_i∘f exactly and each stage map
+    must be monotone (NotMonotone otherwise).  The result is the least
+    extension of p along the unit and restricts back to p exactly (both
+    checked against the direct Kan computation; PostconditionFailed
+    otherwise).
+
+    Of the class, only the map at the index of each recorded span is
+    compared with the map that span was minted for: DomainMismatch when
+    the class has no map there or another one.  Maps at other indices,
+    and further maps, are not compared.  So a reflection built along
+    the join map extends along a class of the join map and the bottom
+    map: a target strong for both is strong for the join, and the
+    result is the least extension, as the postcondition checks.
     """
     if not result.converged:
         raise NotConverged("cannot extend along a unit that never stabilized")
@@ -535,9 +543,7 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
         _put(values, conn, cur, i, nxt)
         for h, f, coproj, below in spans:
             vals = [cur[a] for a in f]
-            ext = _span_join(target, vals, below)
-            if ext is None:
-                ext = _least_values(target, vals, h)
+            ext, _ = _least_extension(target, vals, h, below)
             if ext is None or [ext[b] for b in h.assignment] != vals:
                 raise PostconditionFailed(
                     f"span at stage {i} has no strict extension into the target"
@@ -552,7 +558,9 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
                     f"map is not monotone on {nxt.elements[a]} <= {nxt.elements[b]}"
                 )
         cur = values
-    ext_map = MonotoneMap(result.reflected, target, cur)
+    # the last pass checked these values on the cover pairs of the last
+    # stage, which is result.reflected
+    ext_map = MonotoneMap(result.reflected, target, cur, validate=False)
 
     direct = left_kan(p, result.unit)
     if not (direct.exists and direct.strict and ext_map == direct.extension):

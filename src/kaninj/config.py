@@ -8,7 +8,7 @@ prune well.
 The environment variable KANINJ_SIZE_CAP overrides the default; a value
 that is not a positive integer is an error, not a silent fallback.
 Every search reads it when it runs; only the injectivity cross-check's
-hom-posets give a search a fixed budget of its own, through
+hom-sets give a search a fixed budget of its own, through
 ``iter_monotone_assignments``'s ``cap``.
 """
 

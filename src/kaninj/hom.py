@@ -2,26 +2,23 @@
 
 ``left_kan(f, h)`` computes the least monotone g with f <= g∘h, taking
 "least" globally: when the candidates only have several incomparable
-minimal elements, the extension does not exist.  A pointwise join formula
-is used when every needed join exists (and is provably the least candidate
-then); otherwise it reads the exact set of values the candidates take at
-each point (``monotone_value_sets``, as the even step does) and takes
-the least of each, which is the least candidate whenever every set has
-a least element.  Both routes are checked against a brute-force oracle
-by the test-suite, the second also on targets where every join exists.
+minimal elements, the extension does not exist.  One routine on plain
+tuples, ``_least_extension``, answers every extension problem in the
+library: left_kan's, those of the injectivity scan and preservation
+check, and those of ``extend_along_unit``.  It returns the extension's
+values and the route it took.  The pointwise join formula is used when every needed join exists (and is
+provably the least candidate then): along h it reads the caller's copy
+of the map's memoized ``MonotoneMap.below`` table and looks each join
+up in the target's memo by value mask (``Poset.join_mask``).  Otherwise
+it reads the exact set of values the candidates take at each point
+(``monotone_value_sets``, as the even step does) and takes the least of
+each, which is the least candidate whenever every set has a least
+element.  Both routes are checked against a brute-force oracle by the
+test-suite, the second also on targets where every join exists.
 ``is_dense(f)`` is ``left_kan(f, f)`` compared with the identity.
 
-Both routes work on plain tuples and are shared with the preservation
-check in ``injectivity`` and with ``extend_along_unit``: the pointwise
-route is ``_span_join``, which along h reads the map's memoized
-``MonotoneMap.below`` table and looks each join up in the target's memo
-by value mask (``Poset.join_mask``), and the value-set route is
-``_least_values``.  The callers keep the join inline and take the value
-sets only where a join is missing.
-
 Whether a poset is strong along a class, and whether a map preserves
-extensions, are decided in ``injectivity`` with ``left_kan``'s two
-routes.
+extensions, are decided in ``injectivity`` with the same routine.
 
 A hom-set hom(a, x) is held as the sorted assignment tuples of every
 monotone map a -> x; its order is pointwise and is not built.
@@ -99,13 +96,19 @@ class KanResult:
         }
 
 
-def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
-    """The pointwise least extension along h of a map with values vals,
-    where vals[a] is its value at a in dom(h) and below = h.below(): at
-    each b of cod(h), the join in target of vals[a] over the a in
-    below[b], looked up by value mask (``Poset.join_mask``).  None when
-    one of those joins does not exist (left_kan's pointwise route, on
-    plain tuples)."""
+def _least_extension(target: Poset, vals, h: MonotoneMap, below: tuple) -> tuple:
+    """(values, route): the least extension along h of a map with values
+    vals, where vals[a] is its value at a in dom(h) and below = h.below()
+    lists at each b of cod(h) the a with h(a) <= b; values is None when
+    there is none.  The one routine behind every extension problem.
+
+    The pointwise route takes at each b the join in target of vals[a]
+    over below[b], looked up by value mask (``Poset.join_mask``).  When
+    one of those joins is missing, the value-set route takes at each b
+    the least value that the monotone g: cod(h) -> target with
+    vals[a] <= g(h(a)) take there (one row of ``monotone_value_sets``,
+    the routine the even step asks at its points), and fails when a set
+    is empty or has no least element."""
     join_mask = target.join_mask
     out = []
     for under in below:
@@ -117,20 +120,13 @@ def _span_join(target: Poset, vals, below: tuple) -> Optional[list]:
             vmask |= 1 << vals[a]
         j = join_mask(vmask)
         if j is None:
-            return None
+            break
         out.append(j)
-    return out
-
-
-def _least_values(target: Poset, vals, h: MonotoneMap) -> Optional[list]:
-    """What _span_join answers when a join is missing: at each b of
-    cod(h), the least value that the monotone g: cod(h) -> target with
-    vals[a] <= g(h(a)) take at b (a one-row ``monotone_value_sets`` call
-    at every b, the routine the even step asks at its points); None when
-    a set of values is empty or has no least element."""
+    else:
+        return out, "pointwise"
     sets = monotone_value_sets(h.cod, target, _bound_row(h, target, [vals]))[0]
     least = None if sets is None else [target.least_of(m) for m in sets]
-    return None if least is None or None in least else least
+    return (None if least is None or None in least else least), "value_sets"
 
 
 def left_kan(f: MonotoneMap, h: MonotoneMap) -> KanResult:
@@ -139,16 +135,13 @@ def left_kan(f: MonotoneMap, h: MonotoneMap) -> KanResult:
 
     Without every pointwise join, g exists exactly when the set of
     values the candidates take at each b has a least element, and is
-    then that map (``_least_values``): a least candidate takes the least
-    value everywhere, and the least values are monotone because, for
-    b <= b', a candidate taking the least value at b' bounds the least
-    value at b."""
+    then that map (``_least_extension``'s value-set route): a least
+    candidate takes the least value everywhere, and the least values are
+    monotone because, for b <= b', a candidate taking the least value at
+    b' bounds the least value at b."""
     if f.dom.key != h.dom.key:
         raise DomainMismatch("left_kan needs f and h with a common domain")
-    assign = _span_join(f.cod, f.assignment, h.below())
-    method = "pointwise"
-    if assign is None:
-        assign, method = _least_values(f.cod, f.assignment, h), "value_sets"
+    assign, method = _least_extension(f.cod, f.assignment, h, h.below())
     if assign is None:
         return KanResult(False, None, False, method)
     strict = tuple(assign[v] for v in h.assignment) == f.assignment

@@ -10,33 +10,33 @@ associated inclusion.
 Both of the library's core decisions are made here: whether a poset is
 strong along the class, and whether a map preserves extensions.  One
 scan, ``_scan``, yields every extension problem (h, f: dom h -> x) on
-assignment tuples, with its least extension, strictness and route:
-left_kan's two routes, which ``extend_along_unit`` also uses, the
-pointwise join ``hom._span_join`` over each class map's memoized
-``below`` table and, for a problem where a join is missing, the least
-of each exact value set (``hom._least_values``).  ``_extension_rows``
-turns the scanned problems into rows (h, f, ``left_kan(f, h)``), equal
-to left_kan's answers, method included.  ``_extensions`` keeps such a
-table, and ``_unpreserved`` is the one preservation check over it; the
-map verdicts, ``preserves_kan``, the saturation closure checks and
-``kz_laws`` all run it.  Those callers ask for the same tables again
-and again, so each table is kept once per (poset, maps, size cap) in a
-bounded cache and shared: it must not be mutated, and a build that
-raises stores nothing.  The check decides each row on plain tuples
-with the same two routes.
+assignment tuples as (h_index, f, extension, strictness, route), each
+answered by ``hom._least_extension``, the routine behind left_kan and
+``extend_along_unit``, over the class map's memoized ``below`` table.
+``_extensions`` keeps those tuples as the extension table, with the
+keys of the poset and of the maps they were scanned for, and
+``_unpreserved`` is the one preservation check over it, deciding each
+problem with the same routine; the map verdicts, ``preserves_kan``, the
+saturation closure checks and ``kz_laws`` all run it.  Those callers
+ask for the same tables again and again, so each table is kept once per
+(poset, maps, size cap) in a bounded cache and shared: it must not be
+mutated, and a build that raises stores nothing.  Maps and
+``KanResult`` rows, equal to left_kan's answers, method included, are
+built from the tuples (``_as_row``) only for a public report's
+witnesses, and a map for the f of each failure.
 
 ``is_injective`` and ``is_weakly_injective`` decide from the scan and
 share one adjoint cross-check (``_cross_check``), one per class map h:
 the restriction map m = hom(h, x) must have a left adjoint t, with
 m∘t = id for the strong verdict.  It is decided on the hom-sets'
-assignment tuples, without building either hom-poset's order or m:
+assignment tuples, without building the order of either hom-set or m:
 t(f) exists when the maps g with f <= g∘h take a least value at every
 point of cod h, and is then the map of those least values.  Every
 search runs under ``config.size_cap()`` except the cross-check's
 hom-sets (``hom._hom_at_most``), which get a fixed budget of their own
 (``50 * CROSS_CHECK_CAP`` nodes) and stop at the map after
 ``CROSS_CHECK_CAP``; h is skipped when either runs out, and that
-outcome is memoised with the hom-posets.  Both verdicts decide from
+outcome is memoised with the hom-sets.  Both verdicts decide from
 scratch every time, over rows of their own (not the cached table), and
 return the evidence, so a caller that only asks for a verdict stores no
 table.  The ``is_injective`` report, without its witnesses, is kept
@@ -66,7 +66,7 @@ from .errors import (
     NotMonotone,
     PostconditionFailed,
 )
-from .hom import KanResult, _hom_at_most, _least_values, _span_join
+from .hom import KanResult, _hom_at_most, _least_extension
 from .poset import MonotoneMap, Poset, _fibers, _preimage, iter_monotone_assignments
 
 __all__ = [
@@ -100,7 +100,7 @@ class InjectivityReport:
     (and, for maps, the extensions the map fails to preserve), so the
     failure list is empty exactly when the verdict is weak or strong.
     cross_check reports agreement with the adjoint characterization of
-    the verdict, None when the hom-posets were too large to try.
+    the verdict, None when the hom-sets were too large to try.
     """
 
     subject: str
@@ -136,19 +136,15 @@ class InjectivityReport:
 def _scan(x: Poset, maps: Sequence):
     """Every extension problem (h in maps, f: dom(h) -> x), in class and
     enumeration order, as (h_index, f, extension, strict, route) on
-    assignment tuples: left_kan's routes, the pointwise join
-    (``_span_join``) and, where a join is missing, the least of each
-    value set (``_least_values``), named by route as left_kan names its
-    method.  extension is None when f has no least extension; one that
-    is not monotone on cod(h)'s cover pairs raises NotMonotone, as
-    left_kan's validated map does."""
+    assignment tuples, answered by ``_least_extension`` and named by
+    route as left_kan names its method.  extension is None when f has
+    no least extension; one that is not monotone on cod(h)'s cover pairs
+    raises NotMonotone, as left_kan's validated map does."""
     up = x.up_masks
     for hi, h in enumerate(maps):
         below, covers, cod = h.below(), h.cod.cover_pairs, h.cod.elements
         for f in sorted(iter_monotone_assignments(h.dom, x)):
-            ext, route = _span_join(x, f, below), "pointwise"
-            if ext is None:
-                ext, route = _least_values(x, f, h), "value_sets"
+            ext, route = _least_extension(x, f, h, below)
             if ext is None:
                 yield hi, f, None, False, route
                 continue
@@ -166,25 +162,20 @@ def _as_row(x: Poset, maps: Sequence, hi, f, ext, strict, route) -> tuple:
     return hi, MonotoneMap(h.dom, x, f, validate=False), res
 
 
-def _extension_rows(x: Poset, maps: Sequence) -> tuple:
-    """Every extension problem (h in maps, f: dom(h) -> x), in class and
-    enumeration order, as rows (h_index, f, left_kan(f, h))."""
-    return tuple(_as_row(x, maps, *row) for row in _scan(x, maps))
-
-
 _EXTENSIONS = BoundedCache()
 
 
 def _extensions(x: Poset, maps: Sequence) -> tuple:
-    """_extension_rows(x, maps), built once per (x, maps, size cap) and
-    then read from a bounded cache; the table is shared."""
-    key = (x.key, tuple(h.key() for h in maps), size_cap())
-    return _EXTENSIONS.get(key, lambda: _extension_rows(x, maps))
+    """(x.key, the maps' keys, the scanned problems of ``_scan``), built
+    once per (x, maps, size cap) and then read from a bounded cache; the
+    table is shared."""
+    keys = (x.key, tuple(h.key() for h in maps))
+    return _EXTENSIONS.get(keys + (size_cap(),), lambda: keys + (tuple(_scan(x, maps)),))
 
 
 def _all_strong(table: tuple) -> bool:
     """Whether every extension in the table exists and restricts back."""
-    return all(res.exists and res.strict for _, _, res in table)
+    return all(ext is not None and strict for _, _, ext, strict, _ in table[2])
 
 
 def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple):
@@ -192,27 +183,22 @@ def _unpreserved(p: MonotoneMap, maps: Sequence, table: tuple):
     _extensions over maps, whose extension p does not carry onto the
     extension of p∘f.  Every extension into both endpoints must exist.
 
-    Each row is decided on plain tuples, by left_kan's routes for p∘f
-    along h: at each b of cod(h), the join in p.cod of p(f(a)) over the
-    a with h(a) <= b (``_span_join``), or, when a join is missing, the
-    least of each exact value set (``hom._least_values``).  The row is
-    preserved when that is p∘ext.  NotComposable when the table is not
-    into p.dom, checked on the first row, and DomainMismatch when f and
-    h have different domains, checked on every row: the errors composing
-    and left_kan raise.
+    Each problem is decided on plain tuples: the extension of p∘f along
+    h (``_least_extension``) must be p∘ext.  NotComposable when the
+    table is not into p.dom and DomainMismatch when it was scanned for
+    other maps, both read off the table's keys once per call: the errors
+    composing and left_kan raise.
     """
-    if table and table[0][1].cod.key != p.dom.key:
+    x_key, map_keys, rows = table
+    if x_key != p.dom.key:
         raise NotComposable("codomain/domain mismatch")
-    pa = p.assignment
-    for hi, f, res in table:
-        h = maps[hi]
-        if f.dom.key != h.dom.key:
-            raise DomainMismatch("left_kan needs f and h with a common domain")
-        vals = [pa[v] for v in f.assignment]
-        joined = _span_join(p.cod, vals, h.below())
-        if joined is None:
-            joined = _least_values(p.cod, vals, h)
-        if joined != [pa[v] for v in res.extension.assignment]:
+    if map_keys != tuple(h.key() for h in maps):
+        raise DomainMismatch("the extension table was scanned along other maps")
+    pa, target = p.assignment, p.cod
+    belows = [h.below() for h in maps]
+    for hi, f, ext, _, _ in rows:
+        joined, _ = _least_extension(target, [pa[v] for v in f], maps[hi], belows[hi])
+        if joined != [pa[v] for v in ext]:
             yield hi, f
 
 
@@ -222,8 +208,8 @@ def _cross_check(h: MonotoneMap, x: Poset, strong: bool) -> Optional[bool]:
     strong; None when either hom-set has more than CROSS_CHECK_CAP maps
     or its search runs out of its budget (``_hom_at_most``).
 
-    Decided on the hom-sets' assignment tuples, without building either
-    hom-poset's order or the map m.  t(f) is the least g in
+    Decided on the hom-sets' assignment tuples, without building the
+    order of either hom-set or the map m.  t(f) is the least g in
     U_f = {g : f <= g∘h}, the AND over a in dom h of the maps whose
     value at h(a) lies in the up-set of f(a): a bitmask over
     hom(cod h, x), read off the fibers of each coordinate.  A least
@@ -373,11 +359,13 @@ def is_injective_map(p: MonotoneMap, klass: MapClass) -> InjectivityReport:
         (hi, f, "codomain: " + reason) for hi, f, reason in cod_rep.failures
     ]
     if dom_rep.weak and cod_rep.weak:
-        witnesses = _extensions(p.dom, klass.maps)
+        maps = klass.maps
+        table = _extensions(p.dom, maps)
         failures += [
-            (hi, f, "extension not preserved")
-            for hi, f in _unpreserved(p, klass.maps, witnesses)
+            (hi, MonotoneMap(maps[hi].dom, p.dom, f, validate=False), "extension not preserved")
+            for hi, f in _unpreserved(p, maps, table)
         ]
+        witnesses = tuple(_as_row(p.dom, maps, *row) for row in table[2])
     if failures:
         verdict = "neither"
     elif dom_rep.strong and cod_rep.strong:

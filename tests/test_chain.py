@@ -17,6 +17,7 @@ from kaninj import (
     SizeCapExceeded,
     all_posets,
     antichain,
+    bottom_map,
     build_poset,
     chain,
     class_bottom,
@@ -30,7 +31,9 @@ from kaninj import (
     init_chain,
     is_dense,
     is_injective,
+    join_map,
     kz_laws,
+    left_kan,
     map_to_json,
     poset_to_json,
     record_colimits,
@@ -44,6 +47,7 @@ from kaninj import (
 )
 
 from kaninj.chain import _REFLECTIONS
+from kaninj.poset import Poset
 
 from oracles import brute_iso, closed_form_failure, oracle_least_strict
 
@@ -236,6 +240,18 @@ def test_extend_with_another_class_is_a_domain_mismatch(built, used):
         extend_along_unit(p, r, used)
 
 
+def test_extend_with_more_maps_than_the_reflection_used():
+    # only the map at each span's index is compared: a target strong for
+    # the join and the bottom map is strong for the join alone
+    x = antichain(2)
+    r = reflect(x, class_join())
+    p = MonotoneMap(x, chain(2), [0, 1])
+    more = MapClass("join+bottom", (join_map(), bottom_map()))
+    got = extend_along_unit(p, r, more)
+    assert got == extend_along_unit(p, r, class_join())
+    assert got == left_kan(p, r.unit).extension
+
+
 def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
     # No shipped class ever misses a join, so force every span onto the
     # left_kan fallback and compare the extensions byte for byte.
@@ -251,15 +267,22 @@ def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
         return [dumps(map_to_json(extend_along_unit(p, r, k))) for p, r, k in cases]
 
     joined = run()
-    misses = []
+    chain_mod = sys.modules["kaninj.chain"]
+    least_extension = chain_mod._least_extension
+    routes = []
 
-    def missing(target, vals, below):
-        misses.append(vals)
-        return None
+    def without_joins(*args):
+        # every join missing for the replay only; the direct left_kan of
+        # the postcondition keeps its joins
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Poset, "join_mask", lambda self, vmask: None)
+            ext, route = least_extension(*args)
+        routes.append(route)
+        return ext, route
 
-    monkeypatch.setattr(sys.modules["kaninj.chain"], "_span_join", missing)
+    monkeypatch.setattr(chain_mod, "_least_extension", without_joins)
     assert run() == joined
-    assert misses
+    assert routes and set(routes) == {"value_sets"}
 
 
 def test_kz_laws_on_goldens():
@@ -320,7 +343,7 @@ except PostconditionFailed as exc:
     print("reflect:", exc)
 chain_mod.is_dense = kaninj.is_dense
 
-chain_mod._span_join = lambda target, vals, below: [target.n - 1] * len(below)
+chain_mod._least_extension = lambda target, vals, h, below: ([target.n - 1] * len(below), "pointwise")
 try:
     chain_mod.extend_along_unit(r.unit, r, class_join())
 except PostconditionFailed as exc:

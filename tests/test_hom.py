@@ -25,6 +25,7 @@ from kaninj import (
 from kaninj import clear_caches, hom
 from kaninj.errors import DomainMismatch, NotInjectiveContext, SizeCapExceeded
 from kaninj.hom import hom_poset
+from kaninj.poset import Poset
 
 from oracles import brute_dense, brute_kan, brute_monotone
 
@@ -42,12 +43,13 @@ def _kan_route(f, h):
 
 def test_left_kan_matches_brute_everywhere(monkeypatch):
     """Grid sweep: every f into every small target, along both shapes;
-    a second pass without pointwise joins sends every row to value sets."""
+    a second pass without pointwise joins (every ``Poset.join_mask``
+    missing) sends every row to value sets."""
     hs = [bottom_map(), join_map(), MonotoneMap(chain(2), chain(3), [0, 1])]
     targets = [empty(), point(), chain(2), antichain(2), vee(), diamond(), chain(3)]
     for joins in (True, False):
         if not joins:
-            monkeypatch.setattr(hom, "_span_join", lambda *args: None)
+            monkeypatch.setattr(Poset, "join_mask", lambda self, vmask: None)
         routes = Counter(
             _kan_route(f, h)
             for h in hs
@@ -143,7 +145,8 @@ def test_is_dense_matches_brute():
         for y in all_posets(4):
             for f in enumerate_monotone(a, y):
                 assert is_dense(f) == brute_dense(f), f
-                missing_join[hom._span_join(y, f.assignment, f.below()) is None] += 1
+                _, route = hom._least_extension(y, f.assignment, f, f.below())
+                missing_join[route == "value_sets"] += 1
     assert missing_join[True] and missing_join[False]
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -47,9 +48,9 @@ from kaninj.hom import hom_poset, left_kan
 from kaninj.injectivity import (
     _EXTENSIONS,
     _VERDICTS,
-    _extension_rows,
     _extensions,
     _report,
+    _scan,
     _unpreserved,
 )
 from kaninj.poset import Poset, iter_monotone_assignments
@@ -192,10 +193,10 @@ def test_unpreserved_rows_match_brute():
         for p in _weak_maps(klass):
             table = _extensions(p.dom, klass.maps)
             want = []
-            for hi, f, res in table:
+            for hi, f, *_ in table[2]:
                 h = klass.maps[hi]
-                _, ext, strict = brute_kan(f.assignment, h, p.dom)
-                pushed = tuple(p.assignment[v] for v in f.assignment)
+                _, ext, strict = brute_kan(f, h, p.dom)
+                pushed = tuple(p.assignment[v] for v in f)
                 _, pushed_ext, _ = brute_kan(pushed, h, p.cod)
                 if tuple(p.assignment[v] for v in ext) != tuple(pushed_ext):
                     want.append((hi, f))
@@ -216,16 +217,20 @@ def test_unpreserved_falls_back_to_left_kan(monkeypatch):
             table = _extensions(p.dom, klass.maps)
             cases.append((p, klass.maps, table, list(_unpreserved(p, klass.maps, table))))
     assert any(rows for *_, rows in cases)
-    misses = []
+    routes = Counter()
+    least_extension = injectivity._least_extension
 
-    def missing(target, vals, below):
-        misses.append(vals)
-        return None
+    def counted(*args):
+        ext, route = least_extension(*args)
+        routes[route] += 1
+        return ext, route
 
-    monkeypatch.setattr(injectivity, "_span_join", missing)
+    # with every join missing, each problem takes the value-set route
+    monkeypatch.setattr(Poset, "join_mask", lambda self, vmask: None)
+    monkeypatch.setattr(injectivity, "_least_extension", counted)
     for p, maps, table, rows in cases:
         assert list(_unpreserved(p, maps, table)) == rows
-    assert len(misses) == sum(len(table) for _, _, table, _ in cases)
+    assert routes == {"value_sets": sum(len(table[2]) for _, _, table, _ in cases)}
 
 
 def test_map_verdict_decides_each_endpoint_once(monkeypatch):
@@ -275,7 +280,9 @@ def test_scan_raises_on_a_non_monotone_extension(monkeypatch):
     # an extension sending the top of vee below its atoms, as a wrong
     # join would, is caught on the cover pairs like left_kan's map
     monkeypatch.setattr(
-        injectivity, "_span_join", lambda t, vals, below: [t.n - 1] * (len(below) - 1) + [0]
+        injectivity,
+        "_least_extension",
+        lambda t, vals, h, below: ([t.n - 1] * (len(below) - 1) + [0], "pointwise"),
     )
     clear_caches()
     for decide in (verdict, is_injective, is_weakly_injective):
@@ -482,6 +489,11 @@ def test_verdict_cache_stays_within_its_bound(monkeypatch):
     assert len(_VERDICTS) == 3
 
 
+def _scanned(x, maps):
+    """The extension table of x along maps, scanned afresh."""
+    return x.key, tuple(h.key() for h in maps), tuple(_scan(x, maps))
+
+
 def test_extension_tables_are_shared_but_verdicts_decide_afresh(monkeypatch):
     klass = class_join()
     clear_caches()
@@ -489,7 +501,7 @@ def test_extension_tables_are_shared_but_verdicts_decide_afresh(monkeypatch):
     assert verdict(vee(), klass) == "strong"
     assert not len(_EXTENSIONS)  # the verdicts build tables of their own
     table = _extensions(vee(), klass.maps)
-    assert table == _extension_rows(vee(), klass.maps)
+    assert table == _scanned(vee(), klass.maps)
     assert _extensions(vee(), klass.maps) is table
     monkeypatch.setenv("KANINJ_SIZE_CAP", "1")
     with pytest.raises(SizeCapExceeded):
@@ -505,7 +517,7 @@ def test_reflection_and_extension_caches_stay_within_their_bound(monkeypatch):
     for x in all_posets(3):
         r = reflect(x, klass)
         assert reflect(x, klass) is r
-        assert _extensions(x, klass.maps) == _extension_rows(x, klass.maps)
+        assert _extensions(x, klass.maps) == _scanned(x, klass.maps)
         assert len(_REFLECTIONS) <= 3 and len(_EXTENSIONS) <= 3
     # evicted entries are computed again, with the same answer
     again = reflect(point(), klass)
