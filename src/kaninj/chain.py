@@ -33,7 +33,6 @@ from .errors import (
     DomainMismatch,
     NotConverged,
     NotInjectiveTarget,
-    NotMonotone,
     PostconditionFailed,
     QuotientViolation,
     SquareDoesNotCommute,
@@ -45,6 +44,7 @@ from .poset import (
     Poset,
     _bits,
     _bound_row,
+    _check_monotone,
     enumerate_monotone,
     iter_monotone_assignments,
     monotone_value_sets,
@@ -123,18 +123,14 @@ class ChainState:
         return len(self.stages) - 1
 
     def connector(self, i: int, j: int) -> MonotoneMap:
-        """Composite x_{i,j}; x_{i,i} is the identity.  Composites of
-        composites agree strictly, so all compositors are identities."""
-        return MonotoneMap(self.stages[i], self.stages[j], self.assignments_to(j)[i], validate=False)
-
-    def assignments_to(self, i: int) -> list:
-        """out[j] = assignment of x_{j,i} for every j <= i, built in one
-        backward pass over the connectors."""
-        out = [tuple(range(self.stages[i].n))]
-        for k in range(i - 1, -1, -1):
-            nxt = out[-1]
-            out.append(tuple(nxt[v] for v in self.connectors[k].assignment))
-        return out[::-1]
+        """Composite x_{i,j} of the connectors from stage i to stage j;
+        x_{i,i} is the identity.  Composites of composites agree
+        strictly, so all compositors are identities."""
+        out = tuple(range(self.stages[i].n))
+        for c in self.connectors[i:j]:
+            step = c.assignment
+            out = tuple(step[v] for v in out)
+        return MonotoneMap(self.stages[i], self.stages[j], out, validate=False)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -442,8 +438,8 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
     """The plan extend_along_unit walks for this reflection and class,
     built on first use and kept on the result under the class's map keys.
 
-    One entry per stage i < stages_used: (X_{i+1}, its cover pairs, the
-    connector's assignment, the spans recorded at stage i).  A span is
+    One entry per stage i < stages_used: (X_{i+1}, the connector's
+    assignment, the spans recorded at stage i).  A span is
     (h, f, coproj, h.below()), f and coproj the record's assignments and
     entry b of h.below() the a in dom(h) with h(a) <= b.  DomainMismatch
     when the class has no map at a span's index, or a map there other
@@ -473,7 +469,6 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
     plan = tuple(
         (
             state.stages[i + 1],
-            state.stages[i + 1].cover_pairs,
             state.connectors[i].assignment,
             tuple(spans_at.get(i, ())),
         )
@@ -536,9 +531,8 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
         raise NotInjectiveTarget("extension target is not strongly Kan-injective")
 
     target = p.cod
-    up = target.up_masks
     cur = p.assignment
-    for i, (nxt, cover_pairs, conn, spans) in enumerate(_extension_plan(result, klass)):
+    for i, (nxt, conn, spans) in enumerate(_extension_plan(result, klass)):
         values = [None] * nxt.n
         _put(values, conn, cur, i, nxt)
         for h, f, coproj, below in spans:
@@ -552,11 +546,7 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
         if None in values:
             unset = values.count(None)
             raise QuotientViolation(f"stage {i + 1} left {unset} elements unset")
-        for a, b in cover_pairs:
-            if not up[values[a]] >> values[b] & 1:
-                raise NotMonotone(
-                    f"map is not monotone on {nxt.elements[a]} <= {nxt.elements[b]}"
-                )
+        _check_monotone(nxt, target, values)
         cur = values
     # the last pass checked these values on the cover pairs of the last
     # stage, which is result.reflected

@@ -63,11 +63,10 @@ from .errors import (
     DomainMismatch,
     NotComposable,
     NotInjectiveContext,
-    NotMonotone,
     PostconditionFailed,
 )
 from .hom import KanResult, _hom_at_most, _least_extension
-from .poset import MonotoneMap, Poset, _fibers, _preimage, iter_monotone_assignments
+from .poset import MonotoneMap, Poset, _check_monotone, _fibers, _preimage, iter_monotone_assignments
 
 __all__ = [
     "InjectivityReport",
@@ -138,19 +137,16 @@ def _scan(x: Poset, maps: Sequence):
     enumeration order, as (h_index, f, extension, strict, route) on
     assignment tuples, answered by ``_least_extension`` and named by
     route as left_kan names its method.  extension is None when f has
-    no least extension; one that is not monotone on cod(h)'s cover pairs
-    raises NotMonotone, as left_kan's validated map does."""
-    up = x.up_masks
+    no least extension; one that breaks a cover pair of cod(h) raises
+    NotMonotone (``_check_monotone``), as left_kan's validated map does."""
     for hi, h in enumerate(maps):
-        below, covers, cod = h.below(), h.cod.cover_pairs, h.cod.elements
+        below = h.below()
         for f in sorted(iter_monotone_assignments(h.dom, x)):
             ext, route = _least_extension(x, f, h, below)
             if ext is None:
                 yield hi, f, None, False, route
                 continue
-            for i, j in covers:
-                if not up[ext[i]] >> ext[j] & 1:
-                    raise NotMonotone(f"map is not monotone on {cod[i]} <= {cod[j]}")
+            _check_monotone(h.cod, x, ext)
             yield hi, f, ext, tuple(ext[v] for v in h.assignment) == f, route
 
 

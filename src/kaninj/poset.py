@@ -443,6 +443,15 @@ class Poset:
         return (str(n) + "|" + ",".join(map(str, best))).encode()
 
 
+def _check_monotone(dom: Poset, cod: Poset, values: Sequence[int]) -> None:
+    """NotMonotone when the assignment values: dom -> cod breaks one of
+    dom's cover pairs, naming the first such pair."""
+    up = cod.up_masks
+    for i, j in dom.cover_pairs:
+        if not up[values[i]] >> values[j] & 1:
+            raise NotMonotone(f"map is not monotone on {dom.elements[i]} <= {dom.elements[j]}")
+
+
 class MonotoneMap:
     """Order-preserving map between posets, stored as an index assignment."""
 
@@ -459,11 +468,7 @@ class MonotoneMap:
                 raise ValueError("assignment length mismatch")
             if any(a < 0 or a >= cod.n for a in self.assignment):
                 raise ValueError("assignment out of range")
-            for i, j in dom.cover_pairs:
-                if not cod.up_masks[self.assignment[i]] >> self.assignment[j] & 1:
-                    raise NotMonotone(
-                        f"map is not monotone on {dom.elements[i]} <= {dom.elements[j]}"
-                    )
+            _check_monotone(dom, cod, self.assignment)
 
     @staticmethod
     def identity(p: Poset) -> "MonotoneMap":

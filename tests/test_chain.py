@@ -13,6 +13,7 @@ from kaninj import (
     DomainMismatch,
     MapClass,
     MonotoneMap,
+    NotMonotone,
     PostconditionFailed,
     SizeCapExceeded,
     all_posets,
@@ -285,6 +286,23 @@ def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
     assert routes and set(routes) == {"value_sets"}
 
 
+def test_extend_checks_each_stage_is_monotone(monkeypatch):
+    # a wrong extension that restricts back to f but sends the one point
+    # outside h's image to f's first value, below the other: the replay's
+    # own check is the first to see it, before any quotient or postcondition
+    def below_the_image(target, vals, h, below):
+        ext = [vals[0]] * h.cod.n
+        for a, b in enumerate(h.assignment):
+            ext[b] = vals[a]
+        return ext, "pointwise"
+
+    monkeypatch.setattr(sys.modules["kaninj.chain"], "_least_extension", below_the_image)
+    x = antichain(2)
+    r = reflect(x, class_join())
+    with pytest.raises(NotMonotone, match=r"^map is not monotone on s1x0000 <= s1x0004$"):
+        extend_along_unit(MonotoneMap(x, vee(), [0, 1]), r, class_join())
+
+
 def test_kz_laws_on_goldens():
     for x, klass in [
         (chain(2), class_bottom()),
@@ -521,22 +539,20 @@ def test_wide_chain_digest(n, klass):
     # builds its dense leq matrix
     posets = [*r.trace.stages, r.reflected, r.unit.dom, r.unit.cod]
     assert not [p for p in posets if "leq" in vars(p)]
-    # the one-pass composites agree with composing connector by connector
+    # each composite agrees with composing connector by connector
     state = r.trace
     for i in range(state.top + 1):
-        composites = state.assignments_to(i)
-        assert len(composites) == i + 1
         m = MonotoneMap.identity(state.stages[i])
         for j in range(i, -1, -1):
-            assert composites[j] == m.assignment, (j, i)
+            assert state.connector(j, i) == m, (j, i)
             if j:
                 m = state.connectors[j - 1].then(m)
 
 
 def carried_by_definition(state) -> dict:
     """ChainState.pushed recomputed from the registry: each record's floor
-    and witness pushed to the top stage through ``assignments_to``."""
-    to_top = state.assignments_to(state.top)
+    and witness pushed to the top stage through ``connector``."""
+    to_top = [state.connector(j, state.top).assignment for j in range(state.top + 1)]
     want: dict = {}
     for si, rec in enumerate(state.span_registry):
         idx, fs, ws = want.setdefault(rec.h_index, ([], [], []))
