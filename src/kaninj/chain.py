@@ -21,7 +21,7 @@ as functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -152,8 +152,10 @@ class ReflectionResult:
     reflected/unit describe the colimit of the computed prefix (the
     omega stage) and omega holds its full colimit presentation.  plans
     holds the extension plans of extend_along_unit, one per class,
-    built on first use; a result ``reflect`` returns is shared through
-    its cache, so its plans live as long as the cached result.
+    built on first use: the stages to replay and, compiled from them,
+    the support route each call takes first (``_extension_plan``).  A
+    result ``reflect`` returns is shared through its cache, so its plans
+    live as long as the cached result.
     """
 
     reflected: Poset
@@ -434,17 +436,93 @@ def _run_chain(x: Poset, klass: MapClass, max_steps: int) -> ReflectionResult:
     )
 
 
+class _Supports(NamedTuple):
+    """The support route of an extension plan.
+
+    Along the pointwise route, every value the stagewise replay computes
+    is the join in the target of p over a fixed subset of X, its support: stage-0 element k has
+    {k}, a connector carries supports forward, and a span witness at b
+    gets the union of the supports of f(a) over the a with h(a) <= b.
+    masks are the distinct supports, as bitmasks over X; equal and
+    ordered are (s, t) index pairs into masks whose joins must be equal,
+    or ordered join s <= join t; result is the index of the support of
+    each element of the reflection."""
+
+    masks: tuple
+    equal: tuple
+    ordered: tuple
+    result: tuple
+
+
+def _put_support(support: list, at: tuple, masks, equal: set) -> None:
+    """support[at[k]] = masks[k] where unset; a support that meets
+    another one already there joins ``equal`` as a pair of masks."""
+    for w, m in zip(at, masks):
+        old = support[w]
+        if old is None:
+            support[w] = m
+        elif old != m:
+            equal.add((old, m))
+
+
+def _compile_supports(n: int, steps: tuple) -> Optional[_Supports]:
+    """The support route of the plan's steps over an X with n elements,
+    walking them as the replay does; None when a stage is left with an
+    element no connector or witness reaches.
+
+    The pairs are those the replay compares by value: two supports put
+    on one element (a quotient merge, or coprojections landing on one
+    element) and each span's restriction, the witness at h(a) against
+    f(a), must have equal joins; each stage's cover pairs (i, j) must
+    have ordered ones.  A pair of equal masks, or a cover pair whose
+    lower support lies inside the upper one, holds whenever the joins
+    exist, so it is left out."""
+    cur = [1 << k for k in range(n)]
+    equal, ordered, seen = set(), set(), set(cur)
+    for nxt, conn, spans in steps:
+        support = [None] * nxt.n
+        _put_support(support, conn, cur, equal)
+        for h, f, coproj, below in spans:
+            fs = [cur[a] for a in f]
+            ext = []
+            for under in below:
+                m = 0
+                for a in under:
+                    m |= fs[a]
+                ext.append(m)
+            equal.update((ext[b], fa) for b, fa in zip(h.assignment, fs) if ext[b] != fa)
+            _put_support(support, coproj, ext, equal)
+        if None in support:
+            return None
+        ordered.update(
+            (support[i], support[j]) for i, j in nxt.cover_pairs if support[i] & ~support[j]
+        )
+        seen.update(support)
+        cur = support
+    for pair in equal:
+        seen.update(pair)
+    masks = tuple(sorted(seen))
+    index = {m: k for k, m in enumerate(masks)}
+    return _Supports(
+        masks,
+        tuple(sorted((index[s], index[t]) for s, t in equal)),
+        tuple(sorted((index[s], index[t]) for s, t in ordered)),
+        tuple(index[m] for m in cur),
+    )
+
+
 def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
-    """The plan extend_along_unit walks for this reflection and class,
+    """The plan extend_along_unit follows for this reflection and class,
     built on first use and kept on the result under the class's map keys.
 
-    One entry per stage i < stages_used: (X_{i+1}, the connector's
-    assignment, the spans recorded at stage i).  A span is
-    (h, f, coproj, h.below()), f and coproj the record's assignments and
-    entry b of h.below() the a in dom(h) with h(a) <= b.  DomainMismatch
-    when the class has no map at a span's index, or a map there other
-    than the span's h (``MonotoneMap.key``): the class does not match
-    the reflection.
+    (steps, supports).  steps has one entry per stage i < stages_used:
+    (X_{i+1}, the connector's assignment, the spans recorded at stage
+    i).  A span is (h, f, coproj, h.below()), f and coproj the record's
+    assignments and entry b of h.below() the a in dom(h) with h(a) <= b.
+    supports is the support route compiled from those steps
+    (``_compile_supports``), or None.  DomainMismatch when the class has
+    no map at a span's index, or a map there other than the span's h
+    (``MonotoneMap.key``): the class does not match the reflection.
     """
     key = tuple(h.key() for h in klass.maps)
     plan = result.plans.get(key)
@@ -466,7 +544,7 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
                 f"its map {rec.h_index} is not the one the span at stage {rec.stage} used"
             )
         spans_at.setdefault(rec.stage, []).append((h, rec.f, rec.coproj, h.below()))
-    plan = tuple(
+    steps = tuple(
         (
             state.stages[i + 1],
             state.connectors[i].assignment,
@@ -474,8 +552,25 @@ def _extension_plan(result: ReflectionResult, klass: MapClass) -> tuple:
         )
         for i in range(result.stages_used)
     )
+    plan = (steps, _compile_supports(state.stages[0].n, steps))
     result.plans[key] = plan
     return plan
+
+
+def _support_joins(target: Poset, values: tuple, masks: tuple) -> Optional[list]:
+    """The join in target of the values over each support in masks, or
+    None when one of those joins is missing."""
+    join_mask = target.join_mask
+    joins = []
+    for m in masks:
+        vmask = 0
+        for k in _bits(m):
+            vmask |= 1 << values[k]
+        j = join_mask(vmask)
+        if j is None:
+            return None
+        joins.append(j)
+    return joins
 
 
 def _put(values: list, at: tuple, vals, i: int, nxt: Poset) -> None:
@@ -491,6 +586,30 @@ def _put(values: list, at: tuple, vals, i: int, nxt: Poset) -> None:
             )
 
 
+def _replay(target: Poset, cur, steps: tuple) -> list:
+    """The values of the extension of cur along the plan's steps, walked
+    stage by stage: each span's witnesses take the least extension
+    (p_i∘f)/h (``hom._least_extension``), which must restrict back to
+    p_i∘f exactly, and each stage's values must be monotone."""
+    for i, (nxt, conn, spans) in enumerate(steps):
+        values = [None] * nxt.n
+        _put(values, conn, cur, i, nxt)
+        for h, f, coproj, below in spans:
+            vals = [cur[a] for a in f]
+            ext, _ = _least_extension(target, vals, h, below)
+            if ext is None or [ext[b] for b in h.assignment] != vals:
+                raise PostconditionFailed(
+                    f"span at stage {i} has no strict extension into the target"
+                )
+            _put(values, coproj, ext, i, nxt)
+        if None in values:
+            unset = values.count(None)
+            raise QuotientViolation(f"stage {i + 1} left {unset} elements unset")
+        _check_monotone(nxt, target, values)
+        cur = values
+    return list(cur)
+
+
 def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass) -> MonotoneMap:
     """Transport p: X -> P along the unit, stage by stage.
 
@@ -502,18 +621,26 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
     signals a value clash across a quotient and means a bug: the
     construction guarantees well-definedness.
 
-    The stages, connectors and spans are walked through an extension
-    plan built once per reflection and class (``_extension_plan``) and
-    kept on the result, so a call works on plain tuples.  Each span's
-    witness values are the least extension (p_i∘f)/h, computed by
-    left_kan's routine (``hom._least_extension``) over the plan's copy of
-    h.below(): the join in P of the values below each witness, or the
-    least of each exact value set where a join is missing.  Each span's
-    extension must restrict back to p_i∘f exactly and each stage map
-    must be monotone (NotMonotone otherwise).  The result is the least
-    extension of p along the unit and restricts back to p exactly (both
-    checked against the direct Kan computation; PostconditionFailed
-    otherwise).
+    The stages, connectors and spans are read from an extension plan
+    built once per reflection and class (``_extension_plan``) and kept
+    on the result.  Along the pointwise route every value of the chain
+    is the join in P of p over its support, a subset of X, and a join of
+    joins is the join of the union, so a call takes one join per
+    distinct support of the plan (``_support_joins``), compares the
+    plan's pairs (values merged by a quotient or a coprojection, and
+    each span's restriction back to p_i∘f, equal; each stage's cover
+    pairs ordered) and reads the reflection's values off it.  When a
+    join is missing, a pair fails or the plan left an element without a
+    support, the call replays the stages (``_replay``): each span's
+    witness values are the least extension (p_i∘f)/h by left_kan's
+    routine (``hom._least_extension``), the join or, where a join is
+    missing, the least of each exact value set; each span's extension
+    must restrict back to p_i∘f exactly and each stage map must be
+    monotone (NotMonotone otherwise).  The replay raises exactly where
+    a failed pair would, with its own message.  Either way the result
+    is the least extension of p along the unit and restricts back to p
+    exactly (both checked against the direct Kan computation;
+    PostconditionFailed otherwise).
 
     Of the class, only the map at the index of each recorded span is
     compared with the map that span was minted for: DomainMismatch when
@@ -531,31 +658,25 @@ def extend_along_unit(p: MonotoneMap, result: ReflectionResult, klass: MapClass)
         raise NotInjectiveTarget("extension target is not strongly Kan-injective")
 
     target = p.cod
-    cur = p.assignment
-    for i, (nxt, conn, spans) in enumerate(_extension_plan(result, klass)):
-        values = [None] * nxt.n
-        _put(values, conn, cur, i, nxt)
-        for h, f, coproj, below in spans:
-            vals = [cur[a] for a in f]
-            ext, _ = _least_extension(target, vals, h, below)
-            if ext is None or [ext[b] for b in h.assignment] != vals:
-                raise PostconditionFailed(
-                    f"span at stage {i} has no strict extension into the target"
-                )
-            _put(values, coproj, ext, i, nxt)
-        if None in values:
-            unset = values.count(None)
-            raise QuotientViolation(f"stage {i + 1} left {unset} elements unset")
-        _check_monotone(nxt, target, values)
-        cur = values
-    # the last pass checked these values on the cover pairs of the last
+    steps, supports = _extension_plan(result, klass)
+    joins = None if supports is None else _support_joins(target, p.assignment, supports.masks)
+    up = target.up_masks
+    if (
+        joins is not None
+        and all(joins[s] == joins[t] for s, t in supports.equal)
+        and all(up[joins[s]] >> joins[t] & 1 for s, t in supports.ordered)
+    ):
+        values = [joins[s] for s in supports.result]
+    else:
+        values = _replay(target, p.assignment, steps)
+    # either route checked these values on the cover pairs of the last
     # stage, which is result.reflected
-    ext_map = MonotoneMap(result.reflected, target, cur, validate=False)
+    ext_map = MonotoneMap(result.reflected, target, values, validate=False)
 
     direct = left_kan(p, result.unit)
     if not (direct.exists and direct.strict and ext_map == direct.extension):
         raise PostconditionFailed("stagewise extension is not the least extension")
-    if result.unit.then(ext_map) != p:
+    if tuple(values[d] for d in result.unit.assignment) != p.assignment:
         raise PostconditionFailed("extension does not restrict back to p")
     return ext_map
 

@@ -5,9 +5,11 @@
 minimal elements, the extension does not exist.  One routine on plain
 tuples, ``_least_extension``, answers every extension problem in the
 library: left_kan's, those of the injectivity scan and preservation
-check, and those of ``extend_along_unit``.  It returns the extension's
-values and the route it took.  The pointwise join formula is used when every needed join exists (and is
-provably the least candidate then): along h it reads the caller's copy
+check, and those of the stagewise replay ``extend_along_unit`` falls
+back to when its support route misses a join or a pair.  It returns
+the extension's values and the route it took.  The pointwise join
+formula is used when every needed join exists (and is provably the
+least candidate then): along h it reads the caller's copy
 of the map's memoized ``MonotoneMap.below`` table and looks each join
 up in the target's memo by value mask (``Poset.join_mask``).  Otherwise
 it reads the exact set of values the candidates take at each point

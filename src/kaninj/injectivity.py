@@ -44,8 +44,9 @@ once per (poset, class maps, size cap) in a bounded cache and decided
 on the scanned tuples, building no map but the f of each failure:
 ``verdict`` returns its verdict string, so a caller that only needs to
 know whether a target is strong, such as ``extend_along_unit`` on every
-call, pays for the scan and its cross-check once, and
-``is_injective_map`` reads both endpoint reports from it.  A report
+call, pays for the scan and its cross-check once.  The map verdict
+(``_map_verdict``, behind ``is_injective_map`` and the verify suites)
+reads both endpoint reports from it and builds no witness.  A report
 whose cross-check disagrees with its verdict raises
 ``PostconditionFailed`` instead of being stored.
 """
@@ -336,38 +337,49 @@ def verdict(x: Poset, klass: MapClass) -> str:
     return _report(x, klass).verdict
 
 
+def _map_verdict(p: MonotoneMap, klass: MapClass) -> tuple:
+    """(verdict, unpreserved) of p, as is_injective_map decides it, with
+    unpreserved the problems (h_index, f) whose extension p does not
+    carry (``_unpreserved``); it is empty when an endpoint is neither,
+    since the comparison needs both extensions to exist.  Reads the
+    cached endpoint reports and builds no witness."""
+    dom_rep = _report(p.dom, klass)
+    cod_rep = _report(p.cod, klass)
+    if not (dom_rep.weak and cod_rep.weak):
+        return "neither", ()
+    maps = klass.maps
+    lost = tuple(_unpreserved(p, maps, _extensions(p.dom, maps)))
+    if lost:
+        return "neither", lost
+    return ("strong" if dom_rep.strong and cod_rep.strong else "weak"), ()
+
+
 def is_injective_map(p: MonotoneMap, klass: MapClass) -> InjectivityReport:
     """Verdict for a monotone map: strong when both endpoints are strong
     and p sends each extension f/h to (p∘f)/h; weak when the endpoints
     are merely weak and p still preserves the extensions.
 
-    The endpoint reports come from the verdict cache, and their failures
-    are copied into the failure list with a side tag; preservation is
-    only evaluated when both endpoints are at least weak, since the
-    comparison needs both extensions to exist.
+    The verdict is ``_map_verdict``'s.  The endpoint reports come from
+    the verdict cache, and their failures are copied into the failure
+    list with a side tag, followed by the extensions p does not
+    preserve; the witnesses are the domain's extension table, given only
+    when both endpoints are at least weak.
     """
+    verdict, lost = _map_verdict(p, klass)
     dom_rep = _report(p.dom, klass)
     cod_rep = _report(p.cod, klass)
-    witnesses = ()
+    maps = klass.maps
     failures = [
         (hi, f, "domain: " + reason) for hi, f, reason in dom_rep.failures
     ] + [
         (hi, f, "codomain: " + reason) for hi, f, reason in cod_rep.failures
+    ] + [
+        (hi, MonotoneMap(maps[hi].dom, p.dom, f, validate=False), "extension not preserved")
+        for hi, f in lost
     ]
+    witnesses = ()
     if dom_rep.weak and cod_rep.weak:
-        maps = klass.maps
-        table = _extensions(p.dom, maps)
-        failures += [
-            (hi, MonotoneMap(maps[hi].dom, p.dom, f, validate=False), "extension not preserved")
-            for hi, f in _unpreserved(p, maps, table)
-        ]
-        witnesses = tuple(_as_row(p.dom, maps, *row) for row in table[2])
-    if failures:
-        verdict = "neither"
-    elif dom_rep.strong and cod_rep.strong:
-        verdict = "strong"
-    else:
-        verdict = "weak"
+        witnesses = tuple(_as_row(p.dom, maps, *row) for row in _extensions(p.dom, maps)[2])
     crosses = [c for c in (dom_rep.cross_check, cod_rep.cross_check) if c is not None]
     cross = all(crosses) if crosses else None
     subject = _subject(p.dom) + "->" + _subject(p.cod)

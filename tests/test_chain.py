@@ -253,9 +253,10 @@ def test_extend_with_more_maps_than_the_reflection_used():
     assert got == left_kan(p, r.unit).extension
 
 
-def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
-    # No shipped class ever misses a join, so force every span onto the
-    # left_kan fallback and compare the extensions byte for byte.
+def _extension_cases() -> list:
+    """(p, reflection, class) for every map from a poset of all_posets(3)
+    into a strong target of strong_objects(4, class), for each shipped
+    class."""
     cases = []
     for klass in standard_classes():
         targets = strong_objects(4, klass)
@@ -263,12 +264,101 @@ def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
             r = reflect(x, klass)
             for tgt in targets:
                 cases.extend((p, r, klass) for p in enumerate_monotone(x, tgt))
+    return cases
 
-    def run():
-        return [dumps(map_to_json(extend_along_unit(p, r, k))) for p, r, k in cases]
 
-    joined = run()
+def _extend_all(cases) -> list:
+    return [dumps(map_to_json(extend_along_unit(p, r, k))) for p, r, k in cases]
+
+
+def _counting_replays(monkeypatch) -> list:
+    """Spy on the stagewise replay; one entry per call that fell back."""
     chain_mod = sys.modules["kaninj.chain"]
+    replay = chain_mod._replay
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return replay(*args)
+
+    monkeypatch.setattr(chain_mod, "_replay", counted)
+    return calls
+
+
+def test_support_route_matches_the_replay(monkeypatch):
+    # the support route answers every shipped case without falling back,
+    # with the bytes of the replay; with the support joins forced
+    # missing, every call falls back and gives the same bytes again
+    clear_caches()
+    cases = _extension_cases()
+    chain_mod = sys.modules["kaninj.chain"]
+    replays = _counting_replays(monkeypatch)
+    supported = _extend_all(cases)
+    assert not replays
+    results = {id(r): r for _, r, _ in cases}
+    plans = {i: dict(r.plans) for i, r in results.items()}
+    assert all(len(entries) == 1 for entries in plans.values())
+
+    with monkeypatch.context() as m:
+        m.setattr(chain_mod, "_support_joins", lambda *args: None)
+        assert _extend_all(cases) == supported
+    assert len(replays) == len(cases)
+
+    replays.clear()
+    support_joins = chain_mod._support_joins
+
+    def without_joins(*args):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Poset, "join_mask", lambda self, vmask: None)
+            return support_joins(*args)
+
+    monkeypatch.setattr(chain_mod, "_support_joins", without_joins)
+    assert _extend_all(cases) == supported
+    # a plan with no support at all (the empty poset, reflected along
+    # the join map) takes no join, so only those calls keep the route
+    assert len(replays) == sum(1 for _, r, _ in cases if r.reflected.n)
+    # later calls on the same reflection and class reuse the plan entry
+    for i, r in results.items():
+        assert r.plans.keys() == plans[i].keys()
+        assert all(r.plans[key] is plan for key, plan in plans[i].items())
+
+
+@pytest.mark.parametrize(
+    "mask, kind", [(0b011, "equal"), (0b001, "ordered")], ids=["equal", "ordered"]
+)
+def test_a_corrupted_support_falls_back_to_the_replay(monkeypatch, mask, kind):
+    # x = {a < b, c} along the join map, p = (0, 0, 1) into chain(2): the
+    # support {c} joins to 1 and {a, b} to 0.  Putting {c} in place of
+    # {a, b} breaks the pair {b} = {a, b} only, in place of {a} the pair
+    # {a} <= {b} only; either way the call must fall back to the replay
+    x = build_poset(["a", "b", "c"], [("a", "b")])
+    klass = class_join()
+    r = reflect(x, klass)
+    p = MonotoneMap(x, chain(2), [0, 0, 1])
+    want = left_kan(p, r.unit).extension
+    assert extend_along_unit(p, r, klass) == want
+    key = tuple(h.key() for h in klass.maps)
+    steps, supports = r.plans[key]
+    masks = list(supports.masks)
+    s = masks.index(mask)
+    other = "ordered" if kind == "equal" else "equal"
+    assert any(s in pair for pair in getattr(supports, kind))
+    assert not any(s in pair for pair in getattr(supports, other))
+    masks[s] = 0b100
+    monkeypatch.setitem(r.plans, key, (steps, supports._replace(masks=tuple(masks))))
+    replays = _counting_replays(monkeypatch)
+    assert extend_along_unit(p, r, klass) == want
+    assert len(replays) == 1
+
+
+def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
+    # No shipped class ever misses a join, so force every call onto the
+    # replay and every span onto the left_kan fallback and compare the
+    # extensions byte for byte.
+    cases = _extension_cases()
+    joined = _extend_all(cases)
+    chain_mod = sys.modules["kaninj.chain"]
+    monkeypatch.setattr(chain_mod, "_support_joins", lambda *args: None)
     least_extension = chain_mod._least_extension
     routes = []
 
@@ -282,7 +372,7 @@ def test_extend_fallback_to_left_kan_agrees_with_the_joins(monkeypatch):
         return ext, route
 
     monkeypatch.setattr(chain_mod, "_least_extension", without_joins)
-    assert run() == joined
+    assert _extend_all(cases) == joined
     assert routes and set(routes) == {"value_sets"}
 
 
@@ -296,7 +386,9 @@ def test_extend_checks_each_stage_is_monotone(monkeypatch):
             ext[b] = vals[a]
         return ext, "pointwise"
 
-    monkeypatch.setattr(sys.modules["kaninj.chain"], "_least_extension", below_the_image)
+    chain_mod = sys.modules["kaninj.chain"]
+    monkeypatch.setattr(chain_mod, "_support_joins", lambda *args: None)
+    monkeypatch.setattr(chain_mod, "_least_extension", below_the_image)
     x = antichain(2)
     r = reflect(x, class_join())
     with pytest.raises(NotMonotone, match=r"^map is not monotone on s1x0000 <= s1x0004$"):
@@ -361,6 +453,14 @@ except PostconditionFailed as exc:
     print("reflect:", exc)
 chain_mod.is_dense = kaninj.is_dense
 
+# one wrong join for every support: every pair still holds
+chain_mod._support_joins = lambda target, values, masks: [0] * len(masks)
+try:
+    chain_mod.extend_along_unit(r.unit, r, class_join())
+except PostconditionFailed as exc:
+    print("extend:", exc)
+
+chain_mod._support_joins = lambda target, values, masks: None
 chain_mod._least_extension = lambda target, vals, h, below: ([target.n - 1] * len(below), "pointwise")
 try:
     chain_mod.extend_along_unit(r.unit, r, class_join())
@@ -380,6 +480,7 @@ def test_postconditions_survive_optimize():
     assert out == [
         "optimize 1",
         "reflect: reflection unit is not dense",
+        "extend: stagewise extension is not the least extension",
         "extend: span at stage 0 has no strict extension into the target",
     ]
 
